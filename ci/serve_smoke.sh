@@ -10,7 +10,7 @@ bin=${BIN:-target/release/fis-one}
 router_bin=${ROUTER_BIN:-target/release/fis-router}
 work=$(mktemp -d)
 pids=""
-trap 'kill $pids 2>/dev/null; rm -rf "$work"' EXIT
+trap 'kill $pids 2>/dev/null || true; rm -rf "$work"' EXIT
 
 "$bin" generate --floors 3 --samples 30 --seed 5 --buildings 3 \
     --name smoke --out "$work/corpus.jsonl"

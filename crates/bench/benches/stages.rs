@@ -38,27 +38,66 @@ fn bench_linalg(c: &mut Criterion) {
     }
 }
 
-/// Cold-loading the quantized (schema v3) serving artifact: JSON parse,
-/// f32 narrowing, graph + VP-tree rebuild. This is what a registry miss
-/// costs when a fleet opts into f32 artifacts.
-fn bench_model_load_f32(c: &mut Criterion) {
-    let b = bench_building();
-    let model = fis_core::FisOne::new(fis_core::FisOneConfig::quick(99))
-        .fit(
-            b.name(),
-            b.samples(),
-            b.floors(),
-            b.bottom_anchor().unwrap(),
-        )
-        .expect("bench building fits");
-    let dir = std::env::temp_dir().join(format!("fis-bench-f32-{}", std::process::id()));
+/// Cold-loading a serving artifact: JSON parse, decode, graph + VP-tree
+/// rebuild. This is what every registry miss costs, under the registry
+/// lock. `load(240 scans)` is the default-config f64 artifact of a
+/// 4-floor x 60-scan building, the size the end-to-end benchmark serves;
+/// `load_f32` is the quantized (schema v3) artifact a fleet gets when it
+/// opts into f32.
+fn bench_model_load(c: &mut Criterion) {
+    let fit = |b: &fis_types::Building, config| {
+        fis_core::FisOne::new(config)
+            .fit(
+                b.name(),
+                b.samples(),
+                b.floors(),
+                b.bottom_anchor().unwrap(),
+            )
+            .expect("bench building fits")
+    };
+    let served = BuildingConfig::new("bench", 4)
+        .samples_per_floor(60)
+        .seed(7)
+        .generate();
+    let dir = std::env::temp_dir().join(format!("fis-bench-model-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("bench-f32.json");
-    model.save_f32(&path).expect("f32 artifact saves");
+    let f64_path = dir.join("bench-f64.json");
+    fit(&served, fis_core::FisOneConfig::default().seed(0))
+        .save(&f64_path)
+        .expect("artifact saves");
+    let f32_path = dir.join("bench-f32.json");
+    fit(&bench_building(), fis_core::FisOneConfig::quick(99))
+        .save_f32(&f32_path)
+        .expect("f32 artifact saves");
     let mut group = c.benchmark_group("model");
     group.sample_size(20);
-    group.bench_function("load_f32", |bench| {
-        bench.iter(|| fis_core::FittedModel::load(std::hint::black_box(&path)).unwrap())
+    for (name, path) in [("load(240 scans)", &f64_path), ("load_f32", &f32_path)] {
+        group.bench_function(name, |bench| {
+            bench.iter(|| fis_core::FittedModel::load(std::hint::black_box(path)).unwrap())
+        });
+    }
+    group.finish();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Reading a 2000-scan corpus file (`fis-one generate --floors 5
+/// --samples 400`): one ~1 MB JSON line of scans, parsed and validated.
+fn bench_corpus_parse(c: &mut Criterion) {
+    let corpus = fis_types::Dataset::new(
+        "bench",
+        vec![BuildingConfig::new("bench", 5)
+            .samples_per_floor(400)
+            .seed(11)
+            .generate()],
+    );
+    let dir = std::env::temp_dir().join(format!("fis-bench-corpus-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("corpus.jsonl");
+    fis_types::io::save_jsonl(&corpus, &path).expect("corpus saves");
+    let mut group = c.benchmark_group("io");
+    group.sample_size(20);
+    group.bench_function("corpus_parse(2000 scans)", |bench| {
+        bench.iter(|| fis_types::io::load_jsonl(std::hint::black_box(&path)).unwrap())
     });
     group.finish();
     std::fs::remove_dir_all(&dir).ok();
@@ -430,7 +469,8 @@ fn bench_obs(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_linalg,
-    bench_model_load_f32,
+    bench_model_load,
+    bench_corpus_parse,
     bench_graph_construction,
     bench_random_walks,
     bench_gnn_training,

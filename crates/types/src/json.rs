@@ -47,11 +47,10 @@ impl Json {
     ///
     /// Returns [`TypeError::Io`] describing the first syntax error.
     pub fn parse(text: &str) -> Result<Json, TypeError> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(err(pos, "trailing characters after JSON value"));
         }
         Ok(value)
@@ -135,17 +134,18 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), TypeError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, TypeError> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, TypeError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'{') => parse_object(text, pos),
+        Some(b'[') => parse_array(text, pos),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
     }
 }
 
@@ -158,83 +158,107 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, TypeError> {
+/// Parses a number per the JSON grammar
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, rejecting
+/// values that overflow to infinity (the writer never emits them).
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, TypeError> {
+    let bytes = text.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => expect_digits(bytes, pos)?,
+        _ => return Err(err(*pos, "expected a digit in number")),
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err(start, "bad utf-8"))?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| err(start, &format!("invalid number `{text}`")))
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        expect_digits(bytes, pos)?;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        expect_digits(bytes, pos)?;
+    }
+    let literal = &text[start..*pos];
+    match literal.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        _ => Err(err(start, &format!("number `{literal}` out of range"))),
+    }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, TypeError> {
+/// Consumes a run of at least one ASCII digit.
+fn expect_digits(bytes: &[u8], pos: &mut usize) -> Result<(), TypeError> {
+    let start = *pos;
+    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+        *pos += 1;
+    }
+    if *pos == start {
+        return Err(err(*pos, "expected a digit in number"));
+    }
+    Ok(())
+}
+
+/// Parses a string literal in time linear in its length: each run of
+/// bytes up to the next `"` or `\` is copied as one slice. Both
+/// delimiters are ASCII, so run boundaries are always char boundaries of
+/// the (already valid UTF-8) input.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, TypeError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err(err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let escape = bytes
-                    .get(*pos)
-                    .ok_or_else(|| err(*pos, "unterminated escape"))?;
-                *pos += 1;
-                match escape {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{0008}'),
-                    b'f' => out.push('\u{000C}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let code = parse_hex4(bytes, pos)?;
-                        let scalar = if (0xD800..0xDC00).contains(&code) {
-                            // High surrogate: a \uXXXX low surrogate must
-                            // follow (standard JSON pair encoding).
-                            if bytes.get(*pos) != Some(&b'\\') || bytes.get(*pos + 1) != Some(&b'u')
-                            {
-                                return Err(err(*pos, "high surrogate not followed by \\u"));
-                            }
-                            *pos += 2;
-                            let low = parse_hex4(bytes, pos)?;
-                            if !(0xDC00..0xE000).contains(&low) {
-                                return Err(err(*pos, "invalid low surrogate"));
-                            }
-                            0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                        } else if (0xDC00..0xE000).contains(&code) {
-                            return Err(err(*pos, "unpaired low surrogate"));
-                        } else {
-                            code
-                        };
-                        out.push(
-                            char::from_u32(scalar)
-                                .ok_or_else(|| err(*pos, "invalid unicode escape"))?,
-                        );
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| err(bytes.len(), "unterminated string"))?;
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
+        }
+        *pos += 1;
+        let escape = bytes
+            .get(*pos)
+            .ok_or_else(|| err(*pos, "unterminated escape"))?;
+        *pos += 1;
+        match escape {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{0008}'),
+            b'f' => out.push('\u{000C}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let code = parse_hex4(bytes, pos)?;
+                let scalar = if (0xD800..0xDC00).contains(&code) {
+                    // High surrogate: a \uXXXX low surrogate must
+                    // follow (standard JSON pair encoding).
+                    if bytes.get(*pos) != Some(&b'\\') || bytes.get(*pos + 1) != Some(&b'u') {
+                        return Err(err(*pos, "high surrogate not followed by \\u"));
                     }
-                    other => return Err(err(*pos, &format!("bad escape `\\{}`", *other as char))),
-                }
+                    *pos += 2;
+                    let low = parse_hex4(bytes, pos)?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(err(*pos, "invalid low surrogate"));
+                    }
+                    0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                } else if (0xDC00..0xE000).contains(&code) {
+                    return Err(err(*pos, "unpaired low surrogate"));
+                } else {
+                    code
+                };
+                out.push(
+                    char::from_u32(scalar).ok_or_else(|| err(*pos, "invalid unicode escape"))?,
+                );
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err(*pos, "bad utf-8 in string"))?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+            other => return Err(err(*pos, &format!("bad escape `\\{}`", *other as char))),
         }
     }
 }
@@ -249,7 +273,8 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, TypeError> {
     Ok(code)
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, TypeError> {
+fn parse_array(text: &str, pos: &mut usize) -> Result<Json, TypeError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -258,7 +283,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, TypeError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -273,7 +298,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, TypeError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, TypeError> {
+fn parse_object(text: &str, pos: &mut usize) -> Result<Json, TypeError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -283,10 +309,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, TypeError> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -407,6 +433,19 @@ mod tests {
         assert_eq!(Json::parse("null").unwrap(), Json::Null);
         assert_eq!(Json::parse("true").unwrap(), Json::Bool(true));
         assert_eq!(Json::parse("-2.5e1").unwrap(), Json::Num(-25.0));
+        for (text, value) in [
+            ("0", 0.0f64),
+            ("-0", -0.0),
+            ("7", 7.0),
+            ("-12.50", -12.5),
+            ("1e5", 1e5),
+            ("2E-3", 2e-3),
+            ("0.5e+2", 50.0),
+            ("1e-400", 0.0),
+        ] {
+            let parsed = Json::parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), value.to_bits(), "{text}");
+        }
         assert_eq!(
             Json::parse("\"a\\nb\"").unwrap(),
             Json::Str("a\nb".to_owned())
@@ -432,6 +471,45 @@ mod tests {
         assert!(Json::parse("[1,2").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+        // Numbers outside the JSON grammar, and ones that overflow f64
+        // (the writer prints non-finite numbers as `null`).
+        for text in [
+            "+1", ".5", "1.", "01", "-01", "-", "1e", "1e+", "1.e5", "0x10", "1e400", "-1e400",
+            "[1e999]", "Infinity", "NaN",
+        ] {
+            let e = Json::parse(text).unwrap_err().to_string();
+            assert!(e.contains("json error at byte"), "{text}: {e}");
+        }
+    }
+
+    /// Parsing must stay linear in the document size. A per-character
+    /// re-validation of the remaining input turns this ~2.9 MB document
+    /// into minutes of work; a linear parser needs milliseconds, even in
+    /// a debug build, so the bound below is deliberately loose.
+    #[test]
+    fn multi_megabyte_documents_parse_in_linear_time() {
+        let big = "ab中é".repeat(300_000);
+        let macs: Vec<Json> = (0..40_000u64)
+            .map(|i| {
+                let b = (0x0200_0000_0000 + i).to_be_bytes();
+                Json::Str(format!(
+                    "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
+                    b[2], b[3], b[4], b[5], b[6], b[7]
+                ))
+            })
+            .collect();
+        let doc = Json::obj([("big", Json::Str(big)), ("macs", Json::Arr(macs))]);
+        let text = doc.to_string();
+        assert!(text.len() > 2_500_000, "{} bytes", text.len());
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed, doc);
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "parsing {} bytes took {elapsed:?}",
+            text.len()
+        );
     }
 
     #[test]
@@ -461,6 +539,51 @@ mod tests {
             Json::parse("\"\\u0041\"").unwrap(),
             Json::Str("A".to_owned())
         );
+        // Every escape, with multi-byte UTF-8 touching it on both sides,
+        // decodes the same whether a copied run stops right before it or
+        // not, and so does the writer's encoding of the decoded text.
+        let escapes = [
+            ("\\\"", "\""),
+            ("\\\\", "\\"),
+            ("\\/", "/"),
+            ("\\b", "\u{0008}"),
+            ("\\f", "\u{000C}"),
+            ("\\n", "\n"),
+            ("\\r", "\r"),
+            ("\\t", "\t"),
+            ("\\u0041", "A"),
+            ("\\u00e9", "é"),
+            ("\\ud83d\\ude00", "😀"),
+        ];
+        for wide in ["é", "中", "😀"] {
+            for (escaped, decoded) in escapes {
+                let text = format!("\"{wide}{escaped}{wide}{escaped}{escaped}x{wide}\"");
+                let want = format!("{wide}{decoded}{wide}{decoded}{decoded}x{wide}");
+                assert_eq!(
+                    Json::parse(&text).unwrap(),
+                    Json::Str(want.clone()),
+                    "{text}"
+                );
+                let printed = Json::Str(want.clone()).to_string();
+                assert_eq!(Json::parse(&printed).unwrap(), Json::Str(want), "{printed}");
+            }
+        }
+        assert_eq!(Json::parse("\"\"").unwrap(), Json::Str(String::new()));
+        assert_eq!(
+            Json::parse(r#"["a\"b\\c", "", "\\", {"k\"":"\\\""}]"#).unwrap(),
+            Json::Arr(vec![
+                Json::Str("a\"b\\c".to_owned()),
+                Json::Str(String::new()),
+                Json::Str("\\".to_owned()),
+                Json::obj([("k\"", Json::Str("\\\"".to_owned()))]),
+            ])
+        );
+        for text in ["\"abc", "\"é中😀", "\"a\\nb", "[\"x\", \"y", "{\"k"] {
+            let e = Json::parse(text).unwrap_err().to_string();
+            assert!(e.contains("unterminated string"), "{text}: {e}");
+        }
+        let e = Json::parse("\"ab\\").unwrap_err().to_string();
+        assert!(e.contains("unterminated escape"), "{e}");
     }
 
     #[test]
