@@ -366,45 +366,3 @@ EOF
 
 "$bin" trace summarize "$work/router-trace.jsonl" | head -n 5
 echo "serve smoke OK: traced router answers are bit-identical to the tracing-off reference and both tiers expose parseable metrics"
-
-# Sixth pass: the opt-in f32 serving artifact (schema v3). `fit --f32`
-# must write an artifact no larger than 60% of the f64 one, the assign
-# CLI over the f32 artifact must answer bit-identically to the f64
-# reference on the training corpus, and the daemon must serve the v3
-# artifacts transparently with the same answers.
-mkdir "$work/models_f32"
-for b in smoke-0 smoke-1 smoke-2; do
-  "$bin" fit --corpus "$work/corpus.jsonl" --building "$b" --f32 \
-      --out "$work/models_f32/$b.json" 2>/dev/null
-  f64_bytes=$(wc -c < "$work/models/$b.json")
-  f32_bytes=$(wc -c < "$work/models_f32/$b.json")
-  if [ $((f32_bytes * 10)) -gt $((f64_bytes * 6)) ]; then
-    echo "f32 artifact for $b is $f32_bytes bytes vs $f64_bytes f64 bytes (> 60%)" >&2
-    exit 1
-  fi
-  "$bin" assign --model "$work/models_f32/$b.json" --scans "$work/corpus.jsonl" \
-      --building "$b" 2>/dev/null | grep -v '^#' > "$work/f32-$b.txt"
-  diff "$work/expect-$b.txt" "$work/f32-$b.txt"
-done
-
-"$bin" serve --models "$work/models_f32" \
-    < "$work/script.ndjson" > "$work/responses_f32.ndjson"
-
-python3 - "$work" <<'EOF'
-import json, sys
-work = sys.argv[1]
-responses = [json.loads(l) for l in open(f"{work}/responses_f32.ndjson")]
-bad = [r for r in responses if not r.get("ok")]
-assert not bad, f"error responses: {bad}"
-for r in responses:
-    if r["op"] == "assign_batch":
-        assert r["failures"] == 0, r
-        with open(f"{work}/served-f32-{r['building']}.txt", "w") as out:
-            for row in r["results"]:
-                out.write(f"s{row['scan_id']} F{row['floor'] + 1}\n")
-EOF
-
-for b in smoke-0 smoke-1 smoke-2; do
-  diff "$work/expect-$b.txt" "$work/served-f32-$b.txt"
-done
-echo "serve smoke OK: f32 artifacts are <= 60% of the f64 bytes and answer bit-identically to the f64 assign CLI, direct and served"

@@ -41,41 +41,30 @@ fn bench_linalg(c: &mut Criterion) {
 /// Cold-loading a serving artifact: JSON parse, decode, graph + VP-tree
 /// rebuild. This is what every registry miss costs, under the registry
 /// lock. `load(240 scans)` is the default-config f64 artifact of a
-/// 4-floor x 60-scan building, the size the end-to-end benchmark serves;
-/// `load_f32` is the quantized (schema v3) artifact a fleet gets when it
-/// opts into f32.
+/// 4-floor x 60-scan building, the size the end-to-end benchmark serves.
 fn bench_model_load(c: &mut Criterion) {
-    let fit = |b: &fis_types::Building, config| {
-        fis_core::FisOne::new(config)
-            .fit(
-                b.name(),
-                b.samples(),
-                b.floors(),
-                b.bottom_anchor().unwrap(),
-            )
-            .expect("bench building fits")
-    };
     let served = BuildingConfig::new("bench", 4)
         .samples_per_floor(60)
         .seed(7)
         .generate();
     let dir = std::env::temp_dir().join(format!("fis-bench-model-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let f64_path = dir.join("bench-f64.json");
-    fit(&served, fis_core::FisOneConfig::default().seed(0))
-        .save(&f64_path)
+    let path = dir.join("bench-f64.json");
+    fis_core::FisOne::new(fis_core::FisOneConfig::default().seed(0))
+        .fit(
+            served.name(),
+            served.samples(),
+            served.floors(),
+            served.bottom_anchor().unwrap(),
+        )
+        .expect("bench building fits")
+        .save(&path)
         .expect("artifact saves");
-    let f32_path = dir.join("bench-f32.json");
-    fit(&bench_building(), fis_core::FisOneConfig::quick(99))
-        .save_f32(&f32_path)
-        .expect("f32 artifact saves");
     let mut group = c.benchmark_group("model");
     group.sample_size(20);
-    for (name, path) in [("load(240 scans)", &f64_path), ("load_f32", &f32_path)] {
-        group.bench_function(name, |bench| {
-            bench.iter(|| fis_core::FittedModel::load(std::hint::black_box(path)).unwrap())
-        });
-    }
+    group.bench_function("load(240 scans)", |bench| {
+        bench.iter(|| fis_core::FittedModel::load(std::hint::black_box(&path)).unwrap())
+    });
     group.finish();
     std::fs::remove_dir_all(&dir).ok();
 }

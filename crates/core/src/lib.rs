@@ -68,10 +68,7 @@ pub use error::FisError;
 pub use evaluate::{evaluate_building, EvalResult};
 pub use extension::{identify_with_arbitrary_anchor, ArbitraryAnchorOutcome, ExtensionReport};
 pub use indexing::{index_clusters, ClusterIndexing, TspSolver};
-pub use model::{
-    FittedModel, Precision, MODEL_SCHEMA, MODEL_SCHEMA_VERSION, MODEL_SCHEMA_VERSION_EXTENDED,
-    MODEL_SCHEMA_VERSION_F32,
-};
+pub use model::{FittedModel, MODEL_SCHEMA, MODEL_SCHEMA_VERSION, MODEL_SCHEMA_VERSION_EXTENDED};
 pub use nn::VpTree;
 pub use pipeline::{ClusteringMethod, FisOne, FisOneConfig, FloorPrediction};
 pub use similarity::{ClusterMacProfile, SimilarityMethod};

@@ -80,39 +80,8 @@
 //! extended path rebuilds deterministically at load. Unextended models
 //! keep writing version 1 **byte-identically**.
 //!
-//! # Artifact schema (version 3: opt-in f32 serving artifact)
-//!
-//! [`FittedModel::save_f32`] writes a *quantized* copy of the model
-//! ([`FittedModel::quantize_f32`]): every embedding, encoder weight,
-//! centroid, and RSS reading is rounded to the nearest `f32` **at save
-//! time** and the artifact declares version `3`. The layout is the
-//! version-1 object with three representation changes:
-//!
-//! - `gnn.features` / `gnn.weights` matrix data and the `references` /
-//!   `centroids` rows print as shortest-round-trip **f32** decimals
-//!   (~9 significant digits instead of ~17);
-//! - `samples[].readings` compact each `[mac, rssi]` pair to
-//!   `[mac_index, rssi]`, where `mac_index` points into the artifact's
-//!   own `macs` vocabulary (the MAC string appears once instead of per
-//!   reading);
-//! - no `extension` field is allowed: extended models cannot be
-//!   quantized, and [`FittedModel::extend`] rejects f32 models — the
-//!   f64 artifact remains the single mutable lineage.
-//!
-//! Loaders recover every stored float **exactly** by narrowing the
-//! re-parsed `f64` back to `f32` (`value as f32 as f64` — re-parsing a
-//! shortest-f32 decimal as `f64` alone does *not* reproduce the f32
-//! bits), so v3 save → load → save is byte-identical like v1/v2. The
-//! f64 path is the determinism reference: golden fixtures pin v1 bytes
-//! and are untouched by this format. Inference over a loaded v3 model
-//! still runs in f64 arithmetic on the quantized values, keeps the same
-//! content-seeded determinism contract in `(model, scan)`, and — locked
-//! by `tests/f32_artifact.rs` — reproduces the f64 model's floor labels
-//! on the training corpus while the artifact shrinks to well under 60%
-//! of the f64 bytes.
-//!
 //! Compatibility policy: loaders accept exactly the schema versions they
-//! know (currently `1`, `2`, and `3`) and reject anything else with a
+//! know (currently `1` and `2`) and reject anything else with a
 //! typed [`FisError::Model`]; any change to the serialized geometry or
 //! the content-seed derivation must bump [`MODEL_SCHEMA_VERSION`].
 
@@ -121,10 +90,9 @@ use std::path::Path;
 
 use fis_gnn::RfGnn;
 use fis_graph::BipartiteGraph;
-use fis_linalg::Matrix;
 use fis_obs::{self as obs, Level};
 use fis_types::json::{FromJson, Json, ToJson};
-use fis_types::{FloorId, LabeledAnchor, MacAddr, Rssi, SignalSample};
+use fis_types::{FloorId, LabeledAnchor, MacAddr, SignalSample};
 
 use crate::engine::BudgetGuard;
 use crate::error::FisError;
@@ -146,25 +114,6 @@ pub const MODEL_SCHEMA_VERSION: usize = 1;
 /// models keep writing version 1 byte-identically, so pre-extension
 /// artifacts and tooling are unaffected.
 pub const MODEL_SCHEMA_VERSION_EXTENDED: usize = 2;
-
-/// Schema version written for quantized f32 serving artifacts
-/// ([`FittedModel::save_f32`]): the version-1 layout with f32-precision
-/// floats and vocabulary-indexed readings. See the [module docs](self).
-pub const MODEL_SCHEMA_VERSION_F32: usize = 3;
-
-/// Numeric precision of a model's stored parameters.
-///
-/// `F64` is the determinism reference every fit produces; `F32` marks a
-/// model quantized by [`FittedModel::quantize_f32`] (or loaded from a
-/// version-3 artifact), whose parameters are all exactly
-/// `f32`-representable `f64` values and which serializes as version 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Precision {
-    /// Full-precision parameters (artifact versions 1 and 2).
-    F64,
-    /// Parameters rounded to `f32` at quantization time (version 3).
-    F32,
-}
 
 /// Everything needed to label new scans for one building without
 /// refitting; see the [module docs](self).
@@ -195,18 +144,6 @@ pub struct FittedModel {
     /// model is extended. The base fields above stay frozen either way —
     /// that freeze is what keeps old-vocabulary answers bit-identical.
     extension: Option<ExtendedState>,
-    /// Parameter precision; `F32` models serialize as version 3 and
-    /// refuse [`FittedModel::extend`].
-    precision: Precision,
-}
-
-/// Whether `FIS_ASSIGN_LINEAR=1` forces [`FittedModel::assign`] onto the
-/// reference linear scan (read once; a diagnostics escape hatch, not a
-/// per-call switch).
-fn force_linear_assign() -> bool {
-    use std::sync::OnceLock;
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| std::env::var_os("FIS_ASSIGN_LINEAR").is_some_and(|v| v == "1"))
 }
 
 impl FisOne {
@@ -314,7 +251,6 @@ impl FisOne {
             mac_index,
             nn,
             extension: None,
-            precision: Precision::F64,
         })
     }
 }
@@ -389,96 +325,12 @@ impl FittedModel {
         self.config.gnn.seed
     }
 
-    /// Parameter precision: `F64` for every fit result, `F32` after
-    /// [`FittedModel::quantize_f32`] or a version-3 artifact load.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Returns a copy of the model with every stored parameter —
-    /// encoder features and weights, reference embeddings, centroids,
-    /// and training-scan RSS values — rounded to the nearest `f32`
-    /// (held in `f64` slots, so all inference arithmetic stays `f64`).
-    /// The derived state (bipartite graph, VP-tree) is rebuilt from the
-    /// quantized values, exactly as a version-3 artifact load would.
-    ///
-    /// The copy serializes as schema version 3 at roughly half the f64
-    /// artifact size; the original is untouched and remains the
-    /// determinism reference. The quantized model keeps the full
-    /// `(model, scan)` determinism contract — only the parameter values
-    /// move, each by at most half an f32 ULP.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FisError::Model`] for extended models: the f32 format
-    /// is a frozen serving artifact and carries no `extension`; quantize
-    /// the base model, or keep serving the f64 artifact.
-    pub fn quantize_f32(&self) -> Result<Self, FisError> {
-        if self.extension.is_some() {
-            return Err(FisError::Model(
-                "extended models cannot be quantized to f32: the version-3 artifact is a \
-                 frozen serving format; quantize the base model or serve the f64 artifact"
-                    .into(),
-            ));
-        }
-        let gnn = RfGnn::from_parts(
-            self.gnn.config().clone(),
-            narrow_matrix_f32(self.gnn.features()),
-            self.gnn.weights().iter().map(narrow_matrix_f32).collect(),
-        )
-        .map_err(|e| FisError::Model(format!("quantizing the encoder: {e}")))?;
-        let samples = self
-            .samples
-            .iter()
-            .map(quantize_sample_f32)
-            .collect::<Result<Vec<_>, _>>()?;
-        // Quantization moves RSS values, never MACs, so the rebuilt graph
-        // interns the identical vocabulary in the identical order.
-        let graph = BipartiteGraph::from_samples(&samples)
-            .map_err(|e| FisError::Model(format!("quantized scans do not rebuild a graph: {e}")))?;
-        debug_assert_eq!(graph.macs(), self.macs.as_slice());
-        let references = narrow_rows_f32(&self.references);
-        let centroids = narrow_rows_f32(&self.centroids);
-        let nn = VpTree::build(&references, |i| !samples[i].is_empty());
-        Ok(Self {
-            building: self.building.clone(),
-            floors: self.floors,
-            config: self.config.clone(),
-            gnn,
-            macs: self.macs.clone(),
-            samples,
-            references,
-            centroids,
-            floor_of_cluster: self.floor_of_cluster.clone(),
-            cluster_order: self.cluster_order.clone(),
-            assignment: self.assignment.clone(),
-            graph,
-            mac_index: self.mac_index.clone(),
-            nn,
-            extension: None,
-            precision: Precision::F32,
-        })
-    }
-
-    /// [`FittedModel::quantize_f32`] followed by [`FittedModel::save`]:
-    /// writes the opt-in version-3 f32 serving artifact to `path`
-    /// (atomically, like `save`). The model itself is untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FisError::Model`] when the model is extended or on
-    /// filesystem failure.
-    pub fn save_f32(&self, path: impl AsRef<Path>) -> Result<(), FisError> {
-        self.quantize_f32()?.save(path)
-    }
-
     /// Labels one scan: embeds it through the inductive inference pass and
     /// returns the cluster of the nearest stored reference embedding
     /// (1-NN over the training scans), found through the [`VpTree`] index
-    /// in ~O(log refs) distance computations. `FIS_ASSIGN_LINEAR=1` forces
-    /// the [`FittedModel::assign_linear`] reference path instead; both
-    /// produce bit-identical answers (locked by property tests and the
-    /// golden fixtures).
+    /// in ~O(log refs) distance computations. The
+    /// [`FittedModel::assign_linear`] reference path gives bit-identical
+    /// answers (locked by property tests and the golden fixtures).
     ///
     /// Deterministic in `(model, scan)` alone, and **exact** on the
     /// training corpus: a training scan re-embeds bit-identically to its
@@ -490,9 +342,6 @@ impl FittedModel {
     /// Returns [`FisError::Inference`] when the scan contains no MAC known
     /// to the model (nothing to attach to) or the embedding fails.
     pub fn assign(&self, scan: &SignalSample) -> Result<FloorId, FisError> {
-        if force_linear_assign() {
-            return self.assign_linear(scan);
-        }
         if self.uses_extension(scan) {
             return self.assign_extended(scan);
         }
@@ -572,7 +421,7 @@ impl FittedModel {
     }
 
     /// Linear-scan reference implementation of the extended path (the
-    /// `FIS_ASSIGN_LINEAR=1` / [`FittedModel::assign_linear`] twin).
+    /// [`FittedModel::assign_linear`] twin).
     fn assign_extended_linear(&self, scan: &SignalSample) -> Result<FloorId, FisError> {
         let ext = self.extension.as_ref().expect("routed to extended path");
         let emb = self.infer_embedding_extended(ext, scan)?;
@@ -703,8 +552,7 @@ impl FittedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`FisError::Model`] when the model is an f32 quantized
-    /// artifact (frozen by design), `scans` is empty, any scan heard
+    /// Returns [`FisError::Model`] when `scans` is empty, any scan heard
     /// nothing, or every scan lacks a base-vocabulary MAC; propagates
     /// [`FisError::Inference`] if labeling or re-embedding fails. On error
     /// the model is left exactly as it was.
@@ -712,13 +560,6 @@ impl FittedModel {
         let mut span = obs::span(Level::Info, "pipeline", "extend");
         span.str("building", self.building.clone())
             .num("scans", scans.len() as f64);
-        if self.precision == Precision::F32 {
-            return Err(FisError::Model(
-                "f32 serving artifacts are frozen and cannot be extended: \
-                 extend the f64 model and re-quantize"
-                    .into(),
-            ));
-        }
         if scans.is_empty() {
             return Err(FisError::Model("extension needs at least one scan".into()));
         }
@@ -879,20 +720,12 @@ impl FittedModel {
             .get("version")
             .and_then(Json::as_usize)
             .ok_or_else(|| model_err("missing `version`".into()))?;
-        if version != MODEL_SCHEMA_VERSION
-            && version != MODEL_SCHEMA_VERSION_EXTENDED
-            && version != MODEL_SCHEMA_VERSION_F32
-        {
+        if version != MODEL_SCHEMA_VERSION && version != MODEL_SCHEMA_VERSION_EXTENDED {
             return Err(model_err(format!(
                 "unsupported artifact version {version} (this build reads \
-                 {MODEL_SCHEMA_VERSION}, {MODEL_SCHEMA_VERSION_EXTENDED}, \
-                 and {MODEL_SCHEMA_VERSION_F32})"
+                 {MODEL_SCHEMA_VERSION} and {MODEL_SCHEMA_VERSION_EXTENDED})"
             )));
         }
-        // v3 floats print as shortest-round-trip f32 decimals; narrowing
-        // the re-parsed f64 recovers the stored f32 bits exactly (the
-        // `Json::F32` reader contract). v1/v2 floats pass through.
-        let f32_artifact = version == MODEL_SCHEMA_VERSION_F32;
         let field = |key: &str| {
             json.get(key)
                 .ok_or_else(|| model_err(format!("missing field `{key}`")))
@@ -906,31 +739,15 @@ impl FittedModel {
             .filter(|&f| f > 0)
             .ok_or_else(|| model_err("`floors` must be a positive integer".into()))?;
 
-        let gnn = {
-            let wide = RfGnn::from_json(field("gnn")?).map_err(|e| model_err(e.to_string()))?;
-            if f32_artifact {
-                RfGnn::from_parts(
-                    wide.config().clone(),
-                    narrow_matrix_f32(wide.features()),
-                    wide.weights().iter().map(narrow_matrix_f32).collect(),
-                )
-                .map_err(|e| model_err(e.to_string()))?
-            } else {
-                wide
-            }
-        };
+        let gnn = RfGnn::from_json(field("gnn")?).map_err(|e| model_err(e.to_string()))?;
         let config = pipeline_config_from_json(field("config")?, gnn.config().clone())?;
 
         let macs = usize_like_array(field("macs")?, "macs", |v| {
             MacAddr::from_json(v).map_err(|e| model_err(e.to_string()))
         })?;
-        let samples = if f32_artifact {
-            samples_from_json_f32(field("samples")?, &macs)?
-        } else {
-            usize_like_array(field("samples")?, "samples", |v| {
-                SignalSample::from_json(v).map_err(|e| model_err(e.to_string()))
-            })?
-        };
+        let samples = usize_like_array(field("samples")?, "samples", |v| {
+            SignalSample::from_json(v).map_err(|e| model_err(e.to_string()))
+        })?;
         let graph = BipartiteGraph::from_samples(&samples)
             .map_err(|e| model_err(format!("training scans do not rebuild a graph: {e}")))?;
         if graph.macs() != macs.as_slice() {
@@ -948,10 +765,7 @@ impl FittedModel {
             )));
         }
 
-        let mut references = float_rows(field("references")?, "references")?;
-        if f32_artifact {
-            references = narrow_rows_f32(&references);
-        }
+        let references = float_rows(field("references")?, "references")?;
         if references.len() != samples.len() {
             return Err(model_err(format!(
                 "{} reference embeddings for {} training scans",
@@ -966,10 +780,7 @@ impl FittedModel {
             )));
         }
 
-        let mut centroids = float_rows(field("centroids")?, "centroids")?;
-        if f32_artifact {
-            centroids = narrow_rows_f32(&centroids);
-        }
+        let centroids = float_rows(field("centroids")?, "centroids")?;
         if centroids.len() != floors {
             return Err(model_err(format!(
                 "floor-count mismatch: artifact declares {floors} floors but carries {} centroids",
@@ -1059,7 +870,7 @@ impl FittedModel {
                 Some(ext_references),
             )?)
         } else {
-            // Versions 1 and 3 are extension-free by definition; a stray
+            // Version 1 is extension-free by definition; a stray
             // `extension` field means the artifact was hand-edited or
             // mislabeled, and silently dropping it would change answers.
             if json.get("extension").is_some() {
@@ -1088,61 +899,18 @@ impl FittedModel {
             mac_index,
             nn,
             extension,
-            precision: if f32_artifact {
-                Precision::F32
-            } else {
-                Precision::F64
-            },
         })
     }
 }
 
 impl ToJson for FittedModel {
     fn to_json(&self) -> Json {
-        // Unextended f64 models keep writing version 1 byte-identically;
-        // an extension bumps the artifact to version 2 and adds one
-        // field; a quantized model writes the compact version 3 (never
-        // extended — quantize_f32 rejects extensions).
-        let f32_artifact = self.precision == Precision::F32;
-        let version = if f32_artifact {
-            MODEL_SCHEMA_VERSION_F32
-        } else if self.extension.is_some() {
+        // Unextended models keep writing version 1 byte-identically; an
+        // extension bumps the artifact to version 2 and adds one field.
+        let version = if self.extension.is_some() {
             MODEL_SCHEMA_VERSION_EXTENDED
         } else {
             MODEL_SCHEMA_VERSION
-        };
-        let gnn = if f32_artifact {
-            Json::obj([
-                ("config", self.gnn.config().to_json()),
-                ("features", fis_gnn::matrix_to_json_f32(self.gnn.features())),
-                (
-                    "weights",
-                    Json::Arr(
-                        self.gnn
-                            .weights()
-                            .iter()
-                            .map(fis_gnn::matrix_to_json_f32)
-                            .collect(),
-                    ),
-                ),
-            ])
-        } else {
-            self.gnn.to_json()
-        };
-        let samples = if f32_artifact {
-            Json::Arr(
-                self.samples
-                    .iter()
-                    .map(|s| sample_to_json_f32(s, &self.mac_index))
-                    .collect(),
-            )
-        } else {
-            Json::Arr(self.samples.iter().map(|s| s.to_json()).collect())
-        };
-        let float_rows = if f32_artifact {
-            float_rows_to_json_f32
-        } else {
-            float_rows_to_json
         };
         let mut fields = vec![
             ("schema", Json::Str(MODEL_SCHEMA.to_owned())),
@@ -1150,14 +918,17 @@ impl ToJson for FittedModel {
             ("building", Json::Str(self.building.clone())),
             ("floors", Json::Num(self.floors as f64)),
             ("config", pipeline_config_to_json(&self.config)),
-            ("gnn", gnn),
+            ("gnn", self.gnn.to_json()),
             (
                 "macs",
                 Json::Arr(self.macs.iter().map(|m| m.to_json()).collect()),
             ),
-            ("samples", samples),
-            ("references", float_rows(&self.references)),
-            ("centroids", float_rows(&self.centroids)),
+            (
+                "samples",
+                Json::Arr(self.samples.iter().map(|s| s.to_json()).collect()),
+            ),
+            ("references", float_rows_to_json(&self.references)),
+            ("centroids", float_rows_to_json(&self.centroids)),
             (
                 "floor_of_cluster",
                 Json::Arr(
@@ -1260,111 +1031,6 @@ fn float_rows_to_json(rows: &[Vec<f64>]) -> Json {
             .map(|row| Json::Arr(row.iter().map(|&x| Json::Num(x)).collect()))
             .collect(),
     )
-}
-
-/// [`float_rows_to_json`] with f32-precision entries (version-3
-/// artifacts); entries are already exactly f32-representable, so the
-/// narrowing cast is lossless here.
-fn float_rows_to_json_f32(rows: &[Vec<f64>]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|row| Json::Arr(row.iter().map(|&x| Json::F32(x as f32)).collect()))
-            .collect(),
-    )
-}
-
-/// Rounds every matrix entry to the nearest `f32`, widened back into a
-/// `f64` slot — the quantization primitive behind the version-3 format
-/// and the exact-recovery step when reading one.
-fn narrow_matrix_f32(m: &Matrix) -> Matrix {
-    Matrix::from_vec(
-        m.rows(),
-        m.cols(),
-        m.as_slice().iter().map(|&x| f64::from(x as f32)).collect(),
-    )
-}
-
-/// [`narrow_matrix_f32`] over a row list (references, centroids).
-fn narrow_rows_f32(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    rows.iter()
-        .map(|row| row.iter().map(|&x| f64::from(x as f32)).collect())
-        .collect()
-}
-
-/// Rounds a scan's RSS readings to the nearest `f32`. Safe on the RSSI
-/// domain: the `[-119, 0]` dBm bounds are themselves exact `f32` values,
-/// and round-to-nearest never crosses an exactly representable bound, so
-/// a valid reading stays valid.
-fn quantize_sample_f32(s: &SignalSample) -> Result<SignalSample, FisError> {
-    let mut builder = SignalSample::builder(s.id().0);
-    for (mac, rssi) in s.iter() {
-        let q = Rssi::new(f64::from(rssi.dbm() as f32))
-            .map_err(|e| FisError::Model(format!("quantizing scan {}: {e}", s.id())))?;
-        builder = builder.reading(mac, q);
-    }
-    Ok(builder.build())
-}
-
-/// Version-3 compact scan encoding: readings become `[mac_index, rssi]`
-/// pairs indexed into the artifact's `macs` vocabulary, so each MAC
-/// string is written once per artifact instead of once per reading.
-fn sample_to_json_f32(s: &SignalSample, mac_index: &HashMap<MacAddr, usize>) -> Json {
-    Json::obj([
-        ("id", Json::Num(f64::from(s.id().0))),
-        (
-            "readings",
-            Json::Arr(
-                s.iter()
-                    .map(|(mac, rssi)| {
-                        let j = mac_index[&mac];
-                        Json::Arr(vec![Json::Num(j as f64), Json::F32(rssi.dbm() as f32)])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Parses the version-3 `samples` array written by [`sample_to_json_f32`],
-/// resolving vocabulary indices against `macs` (bounds-checked) and
-/// narrowing each RSS value back to its stored f32.
-fn samples_from_json_f32(value: &Json, macs: &[MacAddr]) -> Result<Vec<SignalSample>, FisError> {
-    usize_like_array(value, "samples", |v| {
-        let id = v
-            .get("id")
-            .and_then(Json::as_usize)
-            .and_then(|x| u32::try_from(x).ok())
-            .ok_or_else(|| {
-                FisError::Model("sample id must be an integer in 0..=4294967295".into())
-            })?;
-        let readings = v
-            .get("readings")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| FisError::Model("sample readings must be an array".into()))?;
-        let mut builder = SignalSample::builder(id);
-        for pair in readings {
-            let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                FisError::Model("v3 reading must be a [mac_index, rssi] pair".into())
-            })?;
-            let mac = pair[0]
-                .as_usize()
-                .and_then(|j| macs.get(j))
-                .copied()
-                .ok_or_else(|| {
-                    FisError::Model(format!(
-                        "reading MAC index out of range for a {}-MAC vocabulary",
-                        macs.len()
-                    ))
-                })?;
-            let dbm = pair[1]
-                .as_f64()
-                .ok_or_else(|| FisError::Model("reading RSSI must be a number".into()))?;
-            let rssi = Rssi::new(f64::from(dbm as f32))
-                .map_err(|e| FisError::Model(format!("sample {id}: {e}")))?;
-            builder = builder.reading(mac, rssi);
-        }
-        Ok(builder.build())
-    })
 }
 
 fn float_rows(value: &Json, what: &str) -> Result<Vec<Vec<f64>>, FisError> {
@@ -1695,82 +1361,6 @@ mod tests {
         let report = model2.extend(&batch).unwrap();
         assert_eq!(report.appended, 2);
         assert_eq!(report.skipped, 1);
-    }
-
-    #[test]
-    fn quantized_model_round_trips_v3_byte_identically() {
-        let (_, model) = quick_fit(21);
-        let q = model.quantize_f32().unwrap();
-        assert_eq!(q.precision(), Precision::F32);
-        assert_eq!(model.precision(), Precision::F64);
-        let first = q.to_json_string();
-        assert!(first.contains("\"version\":3"), "artifact must declare v3");
-        let loaded = FittedModel::from_json_str(&first).unwrap();
-        assert_eq!(loaded.precision(), Precision::F32);
-        assert_eq!(loaded.to_json_string(), first);
-        // Quantization is idempotent: re-quantizing moves nothing.
-        assert_eq!(q.quantize_f32().unwrap().to_json_string(), first);
-    }
-
-    #[test]
-    fn quantized_artifact_is_small_and_loads_every_parameter_exactly() {
-        let (_, model) = quick_fit(22);
-        let f64_bytes = model.to_json_string().len();
-        let q = model.quantize_f32().unwrap();
-        let f32_bytes = q.to_json_string().len();
-        assert!(
-            f32_bytes * 10 <= f64_bytes * 6,
-            "v3 artifact is {f32_bytes} bytes, f64 is {f64_bytes} — expected <= 60%"
-        );
-        let loaded = FittedModel::from_json_str(&q.to_json_string()).unwrap();
-        assert_eq!(
-            loaded.gnn().features().as_slice(),
-            q.gnn().features().as_slice()
-        );
-        assert_eq!(loaded.references(), q.references());
-        assert_eq!(loaded.centroids(), q.centroids());
-        assert_eq!(loaded.samples(), q.samples());
-    }
-
-    #[test]
-    fn quantized_model_keeps_training_labels_and_assigns_like_its_loaded_copy() {
-        let (b, model) = quick_fit(23);
-        let q = model.quantize_f32().unwrap();
-        // The f32 artifact's job: identical floor labels on the corpus.
-        for (scan, expected) in b.samples().iter().zip(model.training_labels()) {
-            assert_eq!(q.assign(scan).unwrap(), expected, "scan {}", scan.id());
-        }
-        let loaded = FittedModel::from_json_str(&q.to_json_string()).unwrap();
-        for scan in b.samples().iter().take(10) {
-            assert_eq!(q.assign(scan).unwrap(), loaded.assign(scan).unwrap());
-        }
-    }
-
-    #[test]
-    fn f32_models_refuse_extension_and_extended_models_refuse_quantization() {
-        let (b, mut model) = quick_fit(24);
-        let mut q = model.quantize_f32().unwrap();
-        let err = q.extend(&churned_scans(&b, 2)).unwrap_err();
-        assert!(matches!(err, FisError::Model(_)), "{err}");
-        assert!(!q.is_extended());
-        model.extend(&churned_scans(&b, 2)).unwrap();
-        let err = model.quantize_f32().unwrap_err();
-        assert!(matches!(err, FisError::Model(_)), "{err}");
-    }
-
-    #[test]
-    fn save_f32_writes_a_loadable_v3_artifact() {
-        let (b, model) = quick_fit(25);
-        let dir = std::env::temp_dir().join(format!("fis-f32-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model-f32.json");
-        model.save_f32(&path).unwrap();
-        let loaded = FittedModel::load(&path).unwrap();
-        assert_eq!(loaded.precision(), Precision::F32);
-        for (scan, expected) in b.samples().iter().zip(model.training_labels()) {
-            assert_eq!(loaded.assign(scan).unwrap(), expected);
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -38,5 +38,5 @@ pub mod train;
 
 pub use config::RfGnnConfig;
 pub use model::RfGnn;
-pub use persist::{matrix_from_json, matrix_to_json, matrix_to_json_f32};
+pub use persist::{matrix_from_json, matrix_to_json};
 pub use train::TrainReport;

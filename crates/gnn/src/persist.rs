@@ -27,25 +27,6 @@ pub fn matrix_to_json(m: &Matrix) -> Json {
     ])
 }
 
-/// [`matrix_to_json`] with `f32`-precision entries: each value is
-/// narrowed to `f32` and serialized through [`Json::F32`], whose
-/// shortest-round-trip decimal is roughly half the length of the `f64`
-/// form. Readers recover the stored value exactly by narrowing the
-/// re-parsed `f64` (`value as f32`); see the `Json::F32` contract.
-/// Only meaningful for matrices whose entries are already exactly
-/// `f32`-representable (a quantized model) — otherwise this loses
-/// precision by design.
-pub fn matrix_to_json_f32(m: &Matrix) -> Json {
-    Json::obj([
-        ("rows", Json::Num(m.rows() as f64)),
-        ("cols", Json::Num(m.cols() as f64)),
-        (
-            "data",
-            Json::Arr(m.as_slice().iter().map(|&x| Json::F32(x as f32)).collect()),
-        ),
-    ])
-}
-
 /// Parses a matrix written by [`matrix_to_json`].
 ///
 /// # Errors

@@ -217,15 +217,11 @@ impl Matrix {
     /// every output element still receives its additions in ascending `k`
     /// with the same zero-skip as the naive i-k-j loop, so results are
     /// bit-identical to [`Matrix::matmul_naive`] for any thread count.
-    /// Set `FIS_MATMUL_NAIVE=1` to force the naive reference kernels.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        if force_naive_kernels() {
-            return self.matmul_naive(rhs);
-        }
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
@@ -287,9 +283,6 @@ impl Matrix {
     ///
     /// Panics if `self.rows() != rhs.rows()`.
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
-        if force_naive_kernels() {
-            return self.t_matmul_naive(rhs);
-        }
         assert_eq!(
             self.rows, rhs.rows,
             "t_matmul shape mismatch: ({}x{})^T * {}x{}",
@@ -365,9 +358,6 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != rhs.cols()`.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        if force_naive_kernels() {
-            return self.matmul_t_naive(rhs);
-        }
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_t shape mismatch: {}x{} * ({}x{})^T",
@@ -616,16 +606,6 @@ impl Matrix {
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
     }
-}
-
-/// Whether `FIS_MATMUL_NAIVE=1` forces the naive reference kernels.
-///
-/// Read once and cached: the flag is a process-lifetime A/B switch for
-/// verifying the blocked kernels, not a per-call toggle.
-fn force_naive_kernels() -> bool {
-    use std::sync::OnceLock;
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| std::env::var("FIS_MATMUL_NAIVE").as_deref() == Ok("1"))
 }
 
 /// One output row of `matmul`: `out_row += a_row * b` with `k` walked in

@@ -20,18 +20,6 @@ pub enum Json {
     Bool(bool),
     /// Any JSON number.
     Num(f64),
-    /// A number known to be exactly representable in `f32`, written with
-    /// `f32`'s shortest-round-trip `Display` (≈9 significant digits
-    /// instead of ≈17). This is what makes the compact `f32` model
-    /// artifacts actually smaller on disk: printing an f32-valued number
-    /// through `f64` would re-expand every mantissa.
-    ///
-    /// Write-side only: [`Json::parse`] always produces [`Json::Num`].
-    /// The printed text is the *shortest* decimal that rounds to the f32,
-    /// so re-parsing it as `f64` does not in general equal
-    /// `f64::from(x)` — readers of f32-encoded fields must narrow first
-    /// (`value as f32 as f64`) to recover the exact stored value.
-    F32(f32),
     /// A string.
     Str(String),
     /// An array.
@@ -64,11 +52,10 @@ impl Json {
         }
     }
 
-    /// The numeric payload, if this is a number (widening [`Json::F32`]).
+    /// The numeric payload, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
-            Json::F32(n) => Some(f64::from(*n)),
             _ => None,
         }
     }
@@ -342,15 +329,6 @@ impl fmt::Display for Json {
                     write!(f, "null")
                 }
             }
-            Json::F32(n) => {
-                if n.is_finite() {
-                    // Shortest round-trip for f32: parsing the text back as
-                    // f64 then narrowing to f32 recovers the exact value.
-                    write!(f, "{n}")
-                } else {
-                    write!(f, "null")
-                }
-            }
             Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 write!(f, "[")?;
@@ -596,29 +574,6 @@ mod tests {
         assert!(Json::parse("\"\\ud83d\"").is_err()); // unpaired high
         assert!(Json::parse("\"\\ude00\"").is_err()); // unpaired low
         assert!(Json::parse("\"\\ud83dx\"").is_err()); // high + garbage
-    }
-
-    #[test]
-    fn f32_prints_short_and_round_trips_via_f64() {
-        for x in [0.1f32, -87.25, 1.0 / 3.0, f32::MIN_POSITIVE, 3.4e38] {
-            let printed = Json::F32(x).to_string();
-            // Narrow-then-widen is the documented reader contract: the
-            // shortest decimal for an f32 need not reparse to f64::from(x).
-            let back = Json::parse(&printed).unwrap().as_f64().unwrap();
-            assert_eq!((back as f32).to_bits(), x.to_bits(), "{x} -> {printed}");
-        }
-        // Model-artifact magnitudes (RSSI, unit embeddings) stay short;
-        // Display never switches to scientific notation, so only moderate
-        // values get the size win.
-        for x in [0.1f32, -87.25, 1.0 / 3.0, -0.021470382] {
-            let printed = Json::F32(x).to_string();
-            assert!(
-                printed.len() <= 12,
-                "f32 {x} printed as {printed} ({} bytes)",
-                printed.len()
-            );
-        }
-        assert_eq!(Json::F32(f32::NAN).to_string(), "null");
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub use fis_types as types;
 
 pub use fis_core::{
     evaluate_building, identify_with_arbitrary_anchor, ArbitraryAnchorOutcome, ClusteringMethod,
-    EvalResult, FisError, FisOne, FisOneConfig, FittedModel, FloorPrediction, Precision,
-    SimilarityMethod, TspSolver,
+    EvalResult, FisError, FisOne, FisOneConfig, FittedModel, FloorPrediction, SimilarityMethod,
+    TspSolver,
 };
 pub use fis_gnn::{RfGnn, RfGnnConfig};
 pub use fis_graph::BipartiteGraph;

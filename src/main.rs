@@ -4,7 +4,7 @@
 //! fis-one generate --floors 5 --samples 200 --seed 7 --buildings 8 --out corpus.jsonl
 //! fis-one identify --corpus corpus.jsonl [--building NAME]
 //! fis-one evaluate --corpus corpus.jsonl
-//! fis-one fit      --corpus corpus.jsonl --out model.json [--trace trace.jsonl] [--f32]
+//! fis-one fit      --corpus corpus.jsonl --out model.json [--trace trace.jsonl]
 //! fis-one assign   --model model.json --scans corpus.jsonl
 //! fis-one extend   --model model.json --scans drift.jsonl --out model-v2.json
 //! fis-one serve    --models DIR [--tcp ADDR] [--trace trace.jsonl] [--metrics m.prom]
@@ -23,7 +23,8 @@
 //! changing any answer the base model would give; `serve` runs the
 //! long-lived multi-tenant daemon over a
 //! directory of fitted artifacts; `stats` prints the spillover
-//! statistics behind Figure 1.
+//! statistics behind Figure 1. Each command accepts exactly the flags
+//! its `USAGE` line lists; any other flag is rejected with exit code 2.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -50,7 +51,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let opts = match parse_flags(rest) {
+    let opts = match parse_flags(command, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -87,7 +88,7 @@ const USAGE: &str = "usage:
   fis-one identify --corpus FILE [--building NAME] [--seed S] [--threads T]
   fis-one evaluate --corpus FILE [--seed S] [--threads T]
   fis-one fit      --corpus FILE --out FILE [--building NAME] [--seed S] \
-[--threads T] [--trace FILE] [--f32]
+[--threads T] [--trace FILE]
   fis-one assign   --model FILE --scans FILE [--building NAME] [--threads T] \
 [--out FILE]
   fis-one extend   --model FILE --scans FILE [--building NAME] --out FILE
@@ -96,6 +97,8 @@ const USAGE: &str = "usage:
 [--trace FILE] [--metrics FILE]
   fis-one stats    --corpus FILE
   fis-one trace    summarize FILE
+
+Each command rejects any flag its line above does not list (exit 2).
 
 generate writes a corpus of --buildings B buildings (default 1). With
 B = 1 the single building is named NAME; with B > 1 they are named
@@ -107,11 +110,7 @@ identify and evaluate run all buildings of the corpus concurrently;
 Predictions are bit-identical for any thread count at a fixed seed.
 
 fit persists one building's pipeline output as a serving artifact
-(one JSON document). --f32 writes the quantized schema-v3 artifact
-instead: every parameter rounds to f32 at save time, shrinking the
-file to roughly half while keeping identical floor labels on the
-training corpus; f32 artifacts are frozen (extend refuses them).
-assign labels scans against it without refitting
+(one JSON document). assign labels scans against it without refitting
 (--building restricts a multi-building scan file to one building),
 printing the same format as identify so the two can be diffed; --out
 writes those assignment lines to FILE instead of stdout.
@@ -149,19 +148,33 @@ v2 `metrics` op returns live). FIS_LOG=error|warn|info|debug|trace
 sets stderr verbosity (default warn). Recording is out-of-band:
 answers are bit-identical with observability on or off.";
 
-/// Flags that take no value; present means enabled.
-const BOOLEAN_FLAGS: &[&str] = &["f32"];
+/// The flags `command` takes: every `--flag` on its `USAGE` line, or
+/// `None` for a command `USAGE` does not list (dispatch rejects those).
+fn usage_flags(command: &str) -> Option<Vec<&'static str>> {
+    let line = USAGE.lines().find(|line| {
+        let mut words = line.split_whitespace();
+        words.next() == Some("fis-one") && words.next() == Some(command)
+    })?;
+    Some(
+        line.split_whitespace()
+            .filter_map(|word| {
+                word.trim_matches(|c| c == '[' || c == ']')
+                    .strip_prefix("--")
+            })
+            .collect(),
+    )
+}
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+fn parse_flags(command: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let known = usage_flags(command);
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(key) = flag.strip_prefix("--") else {
             return Err(format!("expected --flag, got `{flag}`"));
         };
-        if BOOLEAN_FLAGS.contains(&key) {
-            map.insert(key.to_owned(), "1".to_owned());
-            continue;
+        if known.as_ref().is_some_and(|known| !known.contains(&key)) {
+            return Err(format!("unknown flag --{key} for {command}"));
         }
         let value = it
             .next()
@@ -362,20 +375,14 @@ fn cmd_fit(opts: &HashMap<String, String>) -> Result<(), String> {
         return Err(format!("fitting {} failed: {err}", run.building));
     }
     let (run, model) = fit.successes().next().expect("one building, no failure");
-    let quantized = opts.contains_key("f32");
-    if quantized {
-        model.save_f32(out).map_err(|e| e.to_string())?;
-    } else {
-        model.save(out).map_err(|e| e.to_string())?;
-    }
+    model.save(out).map_err(|e| e.to_string())?;
     eprintln!(
-        "# fitted {} ({} floors, {} scans, {} MACs) in {:.2?}; wrote {out}{}",
+        "# fitted {} ({} floors, {} scans, {} MACs) in {:.2?}; wrote {out}",
         run.building,
         run.floors,
         run.samples,
         model.macs().len(),
-        run.elapsed,
-        if quantized { " (f32 artifact)" } else { "" }
+        run.elapsed
     );
     Ok(())
 }

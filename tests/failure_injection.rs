@@ -181,8 +181,14 @@ fn model_floor_count_mismatch_is_typed_error() {
 
 #[test]
 fn model_schema_version_mismatch_is_typed_error() {
-    let err = FittedModel::from_json_str(&tampered("version", Json::Num(99.0))).unwrap_err();
-    assert!(matches!(err, FisError::Model(_)), "{err}");
+    // Version 3 was the retired f32 artifact; it gets the same typed
+    // rejection as any other version this build does not read.
+    for version in [3.0, 99.0] {
+        let err = FittedModel::from_json_str(&tampered("version", Json::Num(version))).unwrap_err();
+        assert!(matches!(err, FisError::Model(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("reads 1 and 2)"), "{msg}");
+    }
 }
 
 #[test]
@@ -212,107 +218,6 @@ fn model_mac_vocabulary_mismatch_is_typed_error() {
     let err = FittedModel::from_json_str(&tampered("macs", Json::Arr(macs))).unwrap_err();
     assert!(matches!(err, FisError::Model(_)), "{err}");
     assert!(err.to_string().contains("vocabulary"), "{err}");
-}
-
-/// The f32-quantized (schema v3) twin of `fitted()`.
-fn fitted_f32() -> &'static FittedModel {
-    static MODEL: OnceLock<FittedModel> = OnceLock::new();
-    MODEL.get_or_init(|| fitted().quantize_f32().expect("unextended model quantizes"))
-}
-
-/// Reserializes the v3 artifact with one top-level field replaced.
-fn tampered_v3(key: &str, value: Json) -> String {
-    let mut json = Json::parse(&fitted_f32().to_json_string()).unwrap();
-    match &mut json {
-        Json::Obj(map) => {
-            map.insert(key.to_owned(), value);
-        }
-        _ => unreachable!("artifact is an object"),
-    }
-    json.to_string()
-}
-
-#[test]
-fn truncated_v3_artifact_is_typed_error() {
-    let text = fitted_f32().to_json_string();
-    for cut in [text.len() / 8, text.len() / 2, text.len() - 2] {
-        let err = FittedModel::from_json_str(&text[..cut]).unwrap_err();
-        assert!(matches!(err, FisError::Model(_)), "cut at {cut} -> {err}");
-    }
-}
-
-#[test]
-fn v3_artifact_with_extension_field_is_typed_error() {
-    // v3 is extension-free by definition; a stray extension object must
-    // be rejected, not silently dropped.
-    let err = FittedModel::from_json_str(&tampered_v3(
-        "extension",
-        Json::obj([
-            ("samples", Json::Arr(vec![])),
-            ("assignment", Json::Arr(vec![])),
-            ("references", Json::Arr(vec![])),
-        ]),
-    ))
-    .unwrap_err();
-    assert!(matches!(err, FisError::Model(_)), "{err}");
-    assert!(err.to_string().contains("extension"), "{err}");
-}
-
-#[test]
-fn v3_reading_mac_index_out_of_range_is_typed_error() {
-    // Point one compact reading past the MAC vocabulary.
-    let mut json = Json::parse(&fitted_f32().to_json_string()).unwrap();
-    let n_macs = fitted_f32().macs().len();
-    let samples = match &mut json {
-        Json::Obj(map) => map.get_mut("samples").unwrap(),
-        _ => unreachable!(),
-    };
-    let first_nonempty = match samples {
-        Json::Arr(rows) => rows
-            .iter_mut()
-            .find_map(|s| match s {
-                Json::Obj(m) => match m.get_mut("readings") {
-                    Some(Json::Arr(r)) if !r.is_empty() => Some(r),
-                    _ => None,
-                },
-                _ => None,
-            })
-            .expect("some scan has readings"),
-        _ => unreachable!(),
-    };
-    first_nonempty[0] = Json::Arr(vec![Json::Num(n_macs as f64), Json::Num(-50.0)]);
-    let err = FittedModel::from_json_str(&json.to_string()).unwrap_err();
-    assert!(matches!(err, FisError::Model(_)), "{err}");
-    assert!(err.to_string().contains("MAC index"), "{err}");
-}
-
-#[test]
-fn v3_malformed_readings_are_typed_errors() {
-    // A v1-style ["aa:bb:..", rssi] pair inside a v3 artifact: the MAC
-    // string is not a vocabulary index, so the parse must fail cleanly.
-    let mac = fitted_f32().macs()[0];
-    let bad_samples = Json::Arr(vec![Json::obj([
-        ("id", Json::Num(0.0)),
-        (
-            "readings",
-            Json::Arr(vec![Json::Arr(vec![
-                Json::Str(mac.to_string()),
-                Json::Num(-50.0),
-            ])]),
-        ),
-    ])]);
-    let err = FittedModel::from_json_str(&tampered_v3("samples", bad_samples)).unwrap_err();
-    assert!(matches!(err, FisError::Model(_)), "{err}");
-    // An out-of-range RSSI must be rejected by the same typed path.
-    let bad_rssi = Json::Arr(vec![Json::obj([
-        ("id", Json::Num(0.0)),
-        (
-            "readings",
-            Json::Arr(vec![Json::Arr(vec![Json::Num(0.0), Json::Num(17.0)])]),
-        ),
-    ])]);
-    let err = FittedModel::from_json_str(&tampered_v3("samples", bad_rssi)).unwrap_err();
-    assert!(matches!(err, FisError::Model(_)), "{err}");
 }
 
 #[test]

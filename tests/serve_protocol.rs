@@ -104,9 +104,25 @@ fn corrupt_artifact_is_model_error() {
         "{\"schema\": \"fis-one/fitted-model\"",
     )
     .unwrap();
+    // A retired schema version (3 was the f32 artifact) is a model error
+    // too, not a panic.
+    std::fs::write(
+        dir.join("retired.json"),
+        r#"{"schema":"fis-one/fitted-model","version":3}"#,
+    )
+    .unwrap();
     let daemon = Daemon::new(DaemonConfig::new(RegistryConfig::new(&dir)));
     let (response, _) = daemon.handle_line(r#"{"op":"load","building":"rotten"}"#);
     assert_eq!(error_kind(&response), Some("model"));
+    let (response, _) = daemon.handle_line(r#"{"op":"load","building":"retired"}"#);
+    assert_eq!(error_kind(&response), Some("model"));
+    let message = response.get("error").and_then(|e| e.get("message"));
+    assert!(
+        message
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("unsupported artifact version 3")),
+        "{response}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
