@@ -77,7 +77,10 @@ echo "serve smoke OK: daemon answers are bit-identical to the assign CLI for 3 b
 
 # Second pass with the answer cache on: replay the same script (each
 # assign_batch appears twice, so the repeat is served from the cache)
-# and diff every batch bit-wise against the same CLI expectations.
+# and diff every batch bit-wise against the same CLI expectations. The
+# journal must hold one registry `load` miss per disk load: the three
+# `load` ops plus smoke-0's reload inside a cached assign_batch after
+# its eviction.
 python3 - "$work" <<'EOF'
 import json, sys
 work = sys.argv[1]
@@ -94,6 +97,7 @@ with open(f"{work}/script_cached.ndjson", "w") as out:
 EOF
 
 "$bin" serve --models "$work/models" --assign-cache 4096 \
+    --trace "$work/cached-trace.jsonl" \
     < "$work/script_cached.ndjson" > "$work/responses_cached.ndjson"
 
 python3 - "$work" <<'EOF'
@@ -102,7 +106,8 @@ work = sys.argv[1]
 responses = [json.loads(l) for l in open(f"{work}/responses_cached.ndjson")]
 bad = [r for r in responses if not r.get("ok")]
 assert not bad, f"error responses: {bad}"
-cache = [r for r in responses if r["op"] == "stats"][-1]["stats"]["assign_cache"]
+stats = [r for r in responses if r["op"] == "stats"][-1]["stats"]
+cache = stats["assign_cache"]
 assert cache["hits"] > 0, f"cached replay never hit: {cache}"
 assert cache["misses"] > 0, f"cold batches must miss: {cache}"
 seen = {}
@@ -116,6 +121,17 @@ for r in responses:
             for row in r["results"]:
                 out.write(f"s{row['scan_id']} F{row['floor'] + 1}\n")
 assert all(n == 2 for n in seen.values()), seen
+events = [json.loads(l) for l in open(f"{work}/cached-trace.jsonl")]
+registry = [e for e in events if e.get("component") == "registry"]
+errors = [e for e in registry if e["event"] == "load_error"]
+assert not errors, f"load errors in the journal: {errors}"
+misses = {}
+for e in registry:
+    if e["event"] == "load" and e.get("fetch") == "miss":
+        misses[e["building"]] = misses.get(e["building"], 0) + 1
+expect = {"smoke-0": 2, "smoke-1": 1, "smoke-2": 1}
+assert misses == expect, f"registry load misses {misses}, expected {expect}"
+assert sum(misses.values()) == stats["registry"]["misses"], stats["registry"]
 EOF
 
 for b in smoke-0 smoke-1 smoke-2; do

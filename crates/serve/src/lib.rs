@@ -11,8 +11,9 @@
 //! ```text
 //! ┌────────────┐  NDJSON   ┌──────────────────────────────┐
 //! │   client    │ ───────▶ │ Daemon                        │
-//! │ (pipe/TCP)  │ ◀─────── │  ├─ ModelRegistry (LRU,       │
-//! └────────────┘           │  │   hot reload, mtime watch) │
+//! │ (pipe/TCP)  │ ◀─────── │  ├─ ModelRegistry (one lock:  │
+//! └────────────┘           │  │   LRU, hot reload, answer  │
+//!                          │  │   cache)                   │
 //!                          │  ├─ ServingMetrics (p50/p99)  │
 //!                          │  └─ assign fan-out            │
 //!                          │     (fis-parallel)            │
@@ -49,11 +50,13 @@
 //!
 //! # Concurrency and scale-out
 //!
-//! The daemon's shared state ([`registry::SharedRegistry`] + a metrics
-//! mutex) makes [`Daemon::handle_line`] a `&self` method: TCP mode
-//! serves many connections at once on a bounded worker pool
-//! ([`pool`]), inference running outside every lock, with graceful
-//! shutdown that drains in-flight connections. One tier up,
+//! The daemon's shared state is one [`ModelRegistry`] (its own mutex,
+//! `&self` methods) and a metrics mutex, never held together, so
+//! [`Daemon::handle_line`] is a `&self` method: TCP mode serves many
+//! connections at once on a bounded worker pool ([`pool`]), inference
+//! running outside every lock, with graceful shutdown that drains
+//! in-flight connections. `stats` reads a [`RegistrySnapshot`] taken
+//! under one registry lock hold, before the metrics lock. One tier up,
 //! [`router::Router`] (the `fis-router` bin) fronts N daemon shards
 //! with a consistent-hash ring on building id, replicating each
 //! building onto R shards and failing over mid-request when a shard
@@ -89,7 +92,7 @@ pub use metrics::{OpMetrics, ServingMetrics};
 pub use pool::LineServer;
 pub use protocol::{BatchRow, Frame, Request, Response, PROTOCOL_VERSION};
 pub use registry::{
-    AssignCache, Fetch, ModelRegistry, RegistryConfig, RegistryStats, ScanKey, SharedRegistry,
+    AssignCache, Fetch, ModelRegistry, RegistryConfig, RegistrySnapshot, RegistryStats, ScanKey,
 };
 pub use router::{Router, RouterConfig};
 pub use server::{Daemon, DaemonConfig};

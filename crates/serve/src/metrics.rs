@@ -25,7 +25,7 @@ use std::time::Instant;
 use fis_metrics::{Histogram, Quantiles};
 use fis_types::json::Json;
 
-use crate::registry::{ModelRegistry, RegistryStats};
+use crate::registry::{RegistrySnapshot, RegistryStats};
 
 /// Counters and latency for one scope (global or one model).
 #[derive(Debug, Clone, Default)]
@@ -145,7 +145,7 @@ impl ServingMetrics {
 
     /// The `stats` response payload: global + per-model metrics plus the
     /// registry's cache counters and current residents.
-    pub fn to_json(&self, registry: &ModelRegistry) -> Json {
+    pub fn to_json(&self, registry: &RegistrySnapshot) -> Json {
         let RegistryStats {
             hits,
             misses,
@@ -153,15 +153,15 @@ impl ServingMetrics {
             reloads,
             load_failures,
             assign_cache,
-        } = registry.stats();
+        } = registry.stats;
         let loaded = Json::Arr(
             registry
-                .loaded()
-                .into_iter()
+                .loaded
+                .iter()
                 .map(|(name, bytes)| {
                     Json::obj([
-                        ("building", Json::Str(name)),
-                        ("bytes", Json::Num(bytes as f64)),
+                        ("building", Json::Str(name.clone())),
+                        ("bytes", Json::Num(*bytes as f64)),
                     ])
                 })
                 .collect(),
@@ -188,14 +188,14 @@ impl ServingMetrics {
                     ("reloads", Json::Num(reloads as f64)),
                     ("load_failures", Json::Num(load_failures as f64)),
                     ("loaded", loaded),
-                    ("bytes", Json::Num(registry.total_bytes() as f64)),
+                    ("bytes", Json::Num(registry.bytes() as f64)),
                 ]),
             ),
             (
                 "assign_cache",
                 Json::obj([
-                    ("capacity", Json::Num(registry.config().assign_cache as f64)),
-                    ("entries", Json::Num(registry.assign_cache_entries() as f64)),
+                    ("capacity", Json::Num(registry.cache_capacity as f64)),
+                    ("entries", Json::Num(registry.cache_entries as f64)),
                     ("hits", Json::Num(assign_cache.hits as f64)),
                     ("misses", Json::Num(assign_cache.misses as f64)),
                     ("insertions", Json::Num(assign_cache.insertions as f64)),
@@ -211,11 +211,8 @@ impl ServingMetrics {
     /// the `--metrics FILE` dump. Scopes become labels (`scope="global"`
     /// vs `scope="model",building="hq"`); all byte layout is
     /// deterministic given the same request history and timings.
-    pub fn to_prometheus(
-        &self,
-        registry: &RegistryStats,
-        registry_extra: RegistryGauges,
-    ) -> String {
+    pub fn to_prometheus(&self, registry: &RegistrySnapshot) -> String {
+        let stats = &registry.stats;
         let mut out = String::new();
         let _ = writeln!(out, "# TYPE fis_uptime_seconds gauge");
         let _ = writeln!(
@@ -289,28 +286,25 @@ impl ServingMetrics {
                 .render_prometheus(&mut out, "fis_latency_ns", labels);
         }
         for (metric, value) in [
-            ("fis_registry_hits_total", registry.hits),
-            ("fis_registry_misses_total", registry.misses),
-            ("fis_registry_evictions_total", registry.evictions),
-            ("fis_registry_reloads_total", registry.reloads),
-            ("fis_registry_load_failures_total", registry.load_failures),
-            ("fis_registry_loaded_models", registry_extra.loaded_models),
-            ("fis_registry_bytes", registry_extra.bytes),
-            ("fis_assign_cache_hits_total", registry.assign_cache.hits),
-            (
-                "fis_assign_cache_misses_total",
-                registry.assign_cache.misses,
-            ),
+            ("fis_registry_hits_total", stats.hits),
+            ("fis_registry_misses_total", stats.misses),
+            ("fis_registry_evictions_total", stats.evictions),
+            ("fis_registry_reloads_total", stats.reloads),
+            ("fis_registry_load_failures_total", stats.load_failures),
+            ("fis_registry_loaded_models", registry.loaded.len() as u64),
+            ("fis_registry_bytes", registry.bytes()),
+            ("fis_assign_cache_hits_total", stats.assign_cache.hits),
+            ("fis_assign_cache_misses_total", stats.assign_cache.misses),
             (
                 "fis_assign_cache_insertions_total",
-                registry.assign_cache.insertions,
+                stats.assign_cache.insertions,
             ),
             (
                 "fis_assign_cache_evictions_total",
-                registry.assign_cache.evictions,
+                stats.assign_cache.evictions,
             ),
-            ("fis_assign_cache_entries", registry_extra.cache_entries),
-            ("fis_assign_cache_capacity", registry_extra.cache_capacity),
+            ("fis_assign_cache_entries", registry.cache_entries as u64),
+            ("fis_assign_cache_capacity", registry.cache_capacity as u64),
         ] {
             let kind = if metric.ends_with("_total") {
                 "counter"
@@ -324,21 +318,6 @@ impl ServingMetrics {
     }
 }
 
-/// Point-in-time registry gauges that accompany [`RegistryStats`]
-/// counters in the Prometheus exposition (the stats struct itself only
-/// carries lifetime counters).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RegistryGauges {
-    /// Models currently resident in the cache.
-    pub loaded_models: u64,
-    /// Bytes of artifacts currently resident.
-    pub bytes: u64,
-    /// Answers currently cached across resident models.
-    pub cache_entries: u64,
-    /// Configured per-model answer-cache capacity.
-    pub cache_capacity: u64,
-}
-
 /// Escapes a string for use inside a Prometheus label value.
 fn escape_label(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -347,7 +326,6 @@ fn escape_label(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::RegistryConfig;
 
     #[test]
     fn records_global_and_per_model() {
@@ -374,10 +352,7 @@ mod tests {
     fn stats_json_shape() {
         let mut m = ServingMetrics::new();
         m.record(Some("hq"), 3, 3, false, 5000.0);
-        let dir = std::env::temp_dir().join("fis_metrics_stats_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let registry = ModelRegistry::new(RegistryConfig::new(&dir));
-        let json = m.to_json(&registry);
+        let json = m.to_json(&RegistrySnapshot::default());
         assert!(json.get("uptime_ms").is_some());
         assert_eq!(
             json.get("global")
@@ -398,7 +373,6 @@ mod tests {
                 .as_usize(),
             Some(0)
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -406,15 +380,12 @@ mod tests {
         let mut m = ServingMetrics::new();
         m.record(Some("hq"), 3, 3, false, 5000.0);
         m.record(None, 0, 0, true, 100.0);
-        let text = m.to_prometheus(
-            &Default::default(),
-            RegistryGauges {
-                loaded_models: 1,
-                bytes: 1024,
-                cache_entries: 2,
-                cache_capacity: 64,
-            },
-        );
+        let text = m.to_prometheus(&RegistrySnapshot {
+            loaded: vec![("hq".into(), 1024)],
+            cache_entries: 2,
+            cache_capacity: 64,
+            ..Default::default()
+        });
         for needle in [
             "# TYPE fis_requests_total counter",
             "fis_requests_total{scope=\"global\"} 2",
@@ -425,6 +396,7 @@ mod tests {
             "fis_latency_ns_count{scope=\"global\"} 2",
             "fis_latency_quantiles_ns{scope=\"global\",quantile=\"0.99\"} 5000",
             "fis_registry_loaded_models 1",
+            "fis_registry_bytes 1024",
             "fis_assign_cache_capacity 64",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");

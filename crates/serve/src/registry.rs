@@ -40,16 +40,26 @@
 //! assign on the original load. `tests/serve_determinism.rs` enforces
 //! this against the golden fixtures.
 //!
+//! # Concurrency
+//!
+//! [`ModelRegistry`] is shared by reference across connections: every
+//! method takes `&self`, and the state sits behind one private mutex
+//! held only for *bookkeeping* — stat, load, answer-cache lookups and
+//! stores. Inference ([`FittedModel::assign_stream`]) always runs
+//! outside the lock, and so do the `registry` trace events. An
+//! assignment is a pure function of `(model, scan content)`, so lock
+//! order can change *when* answers are computed or cached, never *what*
+//! they are.
+//!
 //! # Assign answer cache
 //!
 //! With [`RegistryConfig::assign_cache`] > 0, every cached model carries
 //! a bounded scan-content → floor answer cache, served through
-//! [`ModelRegistry::assign`] / [`ModelRegistry::assign_batch`]. The
-//! determinism contract is what makes this *exact* rather than
-//! approximate: an assignment is a pure function of `(model, scan
-//! content)` — the per-scan inference RNG is seeded from content alone —
-//! so replaying a cached answer is bit-identical to recomputing it.
-//! Three design points keep that airtight:
+//! [`ModelRegistry::assign_batch`]. The determinism contract is what
+//! makes this *exact* rather than approximate: the per-scan inference
+//! RNG is seeded from content alone, so replaying a cached answer is
+//! bit-identical to recomputing it. Four design points keep that
+//! airtight:
 //!
 //! - **Collision-proof keys** — [`ScanKey`] hashes by the FNV-1a of the
 //!   scan's readings but compares by the *full* content, so two scans
@@ -59,6 +69,10 @@
 //!   `Entry` next to its model, so eviction, hot reload, and deletion
 //!   detection drop it automatically: a cached answer can never outlive
 //!   the exact artifact generation that produced it.
+//! - **Same-generation stores** — answers are computed outside the lock
+//!   and stored only if the entry still holds the very `Arc` that
+//!   produced them; an answer from a generation that was evicted or
+//!   reloaded in the meantime is dropped.
 //! - **Bounded FIFO** — at most `assign_cache` answers per model,
 //!   oldest-inserted dropped first (deterministic, no clock). Only
 //!   successful answers are cached; errors are recomputed (and are
@@ -71,7 +85,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::SystemTime;
 
 use fis_core::{FisError, FittedModel};
@@ -142,24 +156,18 @@ pub struct ScanKey {
 }
 
 impl ScanKey {
-    /// Derives the key from a scan's content.
+    /// Derives the key from a scan's content: the FNV-1a of each
+    /// reading's little-endian MAC then RSSI bits, in order.
     pub fn of(scan: &SignalSample) -> Self {
-        const PRIME: u64 = 0x100_0000_01b3;
         let readings: Vec<(u64, u64)> = scan
             .iter()
             .map(|(mac, rssi)| (mac.to_u64(), rssi.dbm().to_bits()))
             .collect();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &(mac, rssi) in &readings {
-            for b in mac.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-            for b in rssi.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        }
+        let fnv = readings.iter().fold(FNV_OFFSET, |h, &(mac, rssi)| {
+            fnv1a(fnv1a(h, &mac.to_le_bytes()), &rssi.to_le_bytes())
+        });
         Self {
-            fnv: h,
+            fnv,
             readings: readings.into(),
         }
     }
@@ -255,6 +263,27 @@ pub struct RegistryStats {
     pub assign_cache: CacheCounters,
 }
 
+/// Counters and gauges taken under one registry lock hold: what the
+/// `stats` op and the Prometheus exposition report.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RegistrySnapshot {
+    /// Lifetime counters.
+    pub stats: RegistryStats,
+    /// Resident building ids with their artifact sizes, sorted by id.
+    pub loaded: Vec<(String, u64)>,
+    /// Answers cached across all resident models.
+    pub cache_entries: usize,
+    /// Configured per-model answer-cache capacity.
+    pub cache_capacity: usize,
+}
+
+impl RegistrySnapshot {
+    /// Total resident artifact bytes.
+    pub fn bytes(&self) -> u64 {
+        self.loaded.iter().map(|(_, bytes)| bytes).sum()
+    }
+}
+
 /// The coarsest artifact-mtime granularity the registry defends
 /// against: a rewrite within this window of the last content
 /// verification can leave the `(mtime, len)` fingerprint unchanged, so
@@ -293,14 +322,20 @@ pub enum Fetch {
     Reload,
 }
 
-/// The lazy, budgeted, hot-reloading model cache. See the
+/// Everything behind the registry lock.
+#[derive(Debug, Default)]
+pub(crate) struct State {
+    entries: HashMap<String, Entry>,
+    tick: u64,
+    stats: RegistryStats,
+}
+
+/// The lazy, budgeted, hot-reloading, thread-safe model cache. See the
 /// [module docs](self).
 #[derive(Debug)]
 pub struct ModelRegistry {
     config: RegistryConfig,
-    entries: HashMap<String, Entry>,
-    tick: u64,
-    stats: RegistryStats,
+    state: Mutex<State>,
 }
 
 impl ModelRegistry {
@@ -308,9 +343,7 @@ impl ModelRegistry {
     pub fn new(config: RegistryConfig) -> Self {
         Self {
             config,
-            entries: HashMap::new(),
-            tick: 0,
-            stats: RegistryStats::default(),
+            state: Mutex::default(),
         }
     }
 
@@ -321,34 +354,25 @@ impl ModelRegistry {
 
     /// Lifetime cache counters.
     pub fn stats(&self) -> RegistryStats {
-        self.stats
+        self.lock().stats
     }
 
-    /// Number of models currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total artifact bytes currently cached.
-    pub fn total_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.bytes).sum()
-    }
-
-    /// The cached building ids with their artifact sizes, sorted by id
-    /// (deterministic for the `stats` op).
-    pub fn loaded(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
+    /// Counters, residents, and answer-cache gauges, all from one lock
+    /// hold.
+    pub fn snapshot(&self) -> RegistrySnapshot {
+        let state = self.lock();
+        let mut loaded: Vec<(String, u64)> = state
             .entries
             .iter()
             .map(|(k, e)| (k.clone(), e.bytes))
             .collect();
-        v.sort();
-        v
+        loaded.sort();
+        RegistrySnapshot {
+            stats: state.stats,
+            loaded,
+            cache_entries: state.entries.values().map(|e| e.cache.len()).sum(),
+            cache_capacity: self.config.assign_cache,
+        }
     }
 
     /// The artifact path for a building id.
@@ -366,177 +390,20 @@ impl ModelRegistry {
     /// - [`ServeError::UnknownBuilding`] when no artifact exists,
     /// - [`ServeError::Model`] when the artifact vanished after load, is
     ///   corrupt, or was fitted for a different building id.
-    pub fn get(&mut self, building: &str) -> Result<(Arc<FittedModel>, Fetch), ServeError> {
-        validate_building_id(building)?;
-        let path = self.artifact_path(building);
-        let meta = match std::fs::metadata(&path) {
-            Ok(m) => m,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                if self.entries.remove(building).is_some() {
-                    // Loaded earlier, artifact deleted since: drop the
-                    // cache entry and fail loudly instead of serving a
-                    // model whose backing file is gone.
-                    self.stats.evictions += 1;
-                    return Err(ServeError::Model(format!(
-                        "artifact {} was deleted after load; evicted `{building}`",
-                        path.display()
-                    )));
-                }
-                return Err(ServeError::UnknownBuilding(format!(
-                    "no artifact for `{building}` (expected {})",
-                    path.display()
-                )));
-            }
-            Err(e) => {
-                return Err(ServeError::Model(format!(
-                    "stat {} failed: {e}",
-                    path.display()
-                )))
-            }
-        };
-        let mtime = meta.modified().ok();
-        let bytes = meta.len();
-
-        self.tick += 1;
-        // Stat-only fast path: the fingerprint matches AND the artifact
-        // mtime is old enough that a same-fingerprint rewrite since the
-        // last content verification is impossible.
-        let fresh_hit = match self.entries.get(building) {
-            Some(entry) if entry.mtime == mtime && entry.bytes == bytes => match mtime {
-                Some(m) => m
-                    .checked_add(MTIME_GRANULARITY)
-                    .is_some_and(|edge| edge < entry.verified_at),
-                // No readable mtime: the fingerprint is length alone,
-                // too weak to ever trust without a hash check.
-                None => false,
-            },
-            _ => false,
-        };
-        if fresh_hit {
-            let entry = self.entries.get_mut(building).expect("checked fresh above");
-            entry.last_used = self.tick;
-            self.stats.hits += 1;
-            return Ok((Arc::clone(&entry.model), Fetch::Hit));
-        }
-
-        // Anything else needs the file content: first load, changed
-        // fingerprint, or a fingerprint hit still inside the racy
-        // window. One read serves both the hash check and the parse.
-        let cached = self.entries.contains_key(building);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                // Vanished between stat and read: same handling as a
-                // missing artifact at stat time.
-                if self.entries.remove(building).is_some() {
-                    self.stats.evictions += 1;
-                    return Err(ServeError::Model(format!(
-                        "artifact {} was deleted after load; evicted `{building}`",
-                        path.display()
-                    )));
-                }
-                return Err(ServeError::UnknownBuilding(format!(
-                    "no artifact for `{building}` (expected {})",
-                    path.display()
-                )));
-            }
-            Err(e) => {
-                return Err(ServeError::Model(format!(
-                    "read {} failed: {e}",
-                    path.display()
-                )))
-            }
-        };
-        let content_hash = fnv1a(text.as_bytes());
-        if let Some(entry) = self.entries.get_mut(building) {
-            if entry.content_hash == content_hash {
-                // Content unchanged — either a racy-window verification
-                // or a metadata-only rewrite (e.g. touch). Refresh the
-                // fingerprint and keep the model and its answer cache.
-                entry.mtime = mtime;
-                entry.bytes = bytes;
-                entry.verified_at = SystemTime::now();
-                entry.last_used = self.tick;
-                self.stats.hits += 1;
-                return Ok((Arc::clone(&entry.model), Fetch::Hit));
-            }
-        }
-
-        // Cache miss, or the artifact content really changed (hot
-        // reload — including a same-fingerprint rewrite the stat cache
-        // alone would have missed). A failed reload drops the stale
-        // entry — serving the old model after the artifact was replaced
-        // would silently violate the hot-reload contract.
-        let fetch = if cached { Fetch::Reload } else { Fetch::Miss };
-        let model = match self.load_artifact(building, &path, &text) {
-            Ok(model) => Arc::new(model),
-            Err(e) => {
-                if self.entries.remove(building).is_some() {
-                    self.stats.evictions += 1;
-                }
-                return Err(e);
-            }
-        };
-        match fetch {
-            Fetch::Reload => self.stats.reloads += 1,
-            _ => self.stats.misses += 1,
-        }
-        self.entries.insert(
-            building.to_owned(),
-            Entry {
-                model: Arc::clone(&model),
-                bytes,
-                mtime,
-                content_hash,
-                verified_at: SystemTime::now(),
-                last_used: self.tick,
-                cache: AssignCache::new(self.config.assign_cache),
-            },
-        );
-        self.enforce_budget(building);
-        Ok((model, fetch))
+    pub fn get(&self, building: &str) -> Result<(Arc<FittedModel>, Fetch), ServeError> {
+        let fetched = self.fetch(&mut self.lock(), building);
+        trace_fetch(building, &fetched);
+        fetched
     }
 
-    /// Labels one scan through the answer cache: a content hit replays
-    /// the stored floor (bit-identical to recomputing, see the
-    /// [module docs](self)); a miss runs [`FittedModel::assign`] and
-    /// caches a successful answer. With the cache disabled this is
-    /// exactly `get` + `assign`.
-    ///
-    /// # Errors
-    ///
-    /// The [`ModelRegistry::get`] errors, plus [`ServeError::Inference`]
-    /// when the scan cannot be embedded. Errors are never cached.
-    pub fn assign(&mut self, building: &str, scan: &SignalSample) -> Result<FloorId, ServeError> {
-        let (model, _) = self.get(building)?;
-        if self.config.assign_cache == 0 {
-            return model.assign(scan).map_err(ServeError::from);
-        }
-        let key = ScanKey::of(scan);
-        if let Some(floor) = self
-            .entries
-            .get(building)
-            .and_then(|entry| entry.cache.get(&key))
-        {
-            self.stats.assign_cache.hit();
-            return Ok(floor);
-        }
-        self.stats.assign_cache.miss();
-        let floor = model.assign(scan).map_err(ServeError::from)?;
-        if let Some(entry) = self.entries.get_mut(building) {
-            entry.cache.insert(key, floor, &mut self.stats.assign_cache);
-        }
-        Ok(floor)
-    }
-
-    /// Labels a batch through the answer cache, preserving
-    /// [`FittedModel::assign_stream`] semantics: results in input order,
-    /// per-scan failures in their slot. Cached and in-batch-duplicate
+    /// Labels a batch, preserving [`FittedModel::assign_stream`]
+    /// semantics: results in input order, per-scan failures in their
+    /// slot. With the answer cache on, cached and in-batch-duplicate
     /// scans are counted as hits and skip recomputation; only the unique
-    /// missing scans fan out over `threads` workers. Because every
-    /// answer is a pure function of `(model, scan content)`, the output
-    /// is bit-identical to the uncached fan-out for any mix of hits,
-    /// misses, and duplicates.
+    /// missing scans fan out over `threads` workers, outside the lock.
+    /// Because every answer is a pure function of `(model, scan
+    /// content)`, the output is bit-identical to the uncached fan-out
+    /// for any mix of hits, misses, duplicates, and thread interleaving.
     ///
     /// # Errors
     ///
@@ -544,43 +411,60 @@ impl ModelRegistry {
     /// their result slot.
     #[allow(clippy::type_complexity)]
     pub fn assign_batch(
-        &mut self,
+        &self,
         building: &str,
         scans: &[SignalSample],
         threads: usize,
     ) -> Result<Vec<Result<FloorId, FisError>>, ServeError> {
-        let (model, _) = self.get(building)?;
         if self.config.assign_cache == 0 {
+            let (model, _) = self.get(building)?;
             return Ok(model.assign_stream(scans, threads));
         }
         let keys: Vec<ScanKey> = scans.iter().map(ScanKey::of).collect();
         let mut results: Vec<Option<Result<FloorId, FisError>>> = vec![None; scans.len()];
-        // Upfront lookups in input order: cached answers fill their
-        // slots; the first occurrence of each missing content computes,
-        // later duplicates replay it (a hit — no computation).
         let mut first_of: HashMap<&ScanKey, usize> = HashMap::new();
         let mut missing: Vec<usize> = Vec::new();
-        let cache = self.entries.get(building).map(|e| &e.cache);
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(floor) = cache.and_then(|c| c.get(key)) {
-                self.stats.assign_cache.hit();
-                results[i] = Some(Ok(floor));
-            } else if first_of.contains_key(key) {
-                self.stats.assign_cache.hit();
-            } else {
-                self.stats.assign_cache.miss();
-                first_of.insert(key, i);
-                missing.push(i);
+        // One lock hold for the whole lookup phase: model fetch plus the
+        // per-scan cache peek in input order (hits fill their slots, the
+        // first occurrence of each missing content queues for compute,
+        // later duplicates replay it).
+        let fetched = {
+            let mut guard = self.lock();
+            let fetched = self.fetch(&mut guard, building);
+            if fetched.is_ok() {
+                let state = &mut *guard;
+                let cache = state.entries.get(building).map(|e| &e.cache);
+                let counters = &mut state.stats.assign_cache;
+                for (i, key) in keys.iter().enumerate() {
+                    if let Some(floor) = cache.and_then(|c| c.get(key)) {
+                        counters.hit();
+                        results[i] = Some(Ok(floor));
+                    } else if first_of.contains_key(key) {
+                        counters.hit();
+                    } else {
+                        counters.miss();
+                        first_of.insert(key, i);
+                        missing.push(i);
+                    }
+                }
             }
-        }
+            fetched
+        };
+        trace_fetch(building, &fetched);
+        let (model, _) = fetched?;
+        obs::event(Level::Trace, "registry", "cache_lookup")
+            .str("building", building)
+            .num("scans", scans.len() as f64)
+            .num("hits", (scans.len() - missing.len()) as f64)
+            .num("computed", missing.len() as f64)
+            .emit();
         let subset: Vec<SignalSample> = missing.iter().map(|&i| scans[i].clone()).collect();
         let computed = model.assign_stream(&subset, threads);
-        if let Some(entry) = self.entries.get_mut(building) {
+        {
+            let mut state = self.lock();
             for (&i, result) in missing.iter().zip(&computed) {
                 if let Ok(floor) = result {
-                    entry
-                        .cache
-                        .insert(keys[i].clone(), *floor, &mut self.stats.assign_cache);
+                    state.store_answer(building, &model, keys[i].clone(), *floor);
                 }
             }
         }
@@ -602,24 +486,163 @@ impl ModelRegistry {
             .collect())
     }
 
-    /// Answers cached across all resident models right now.
-    pub fn assign_cache_entries(&self) -> usize {
-        self.entries.values().map(|e| e.cache.len()).sum()
+    /// Drops a cached model; returns whether it was cached. The artifact
+    /// stays on disk and the next request reloads it.
+    pub fn evict(&self, building: &str) -> bool {
+        let evicted = self.lock().drop_entry(building);
+        obs::event(Level::Info, "registry", "evict")
+            .str("building", building)
+            .field("evicted", fis_types::json::Json::Bool(evicted))
+            .emit();
+        evicted
     }
 
-    /// Peeks the answer cache without touching the counters. Used by
-    /// [`SharedRegistry`], which holds the registry lock only around the
-    /// lookup and accounts for hits/misses itself.
-    pub fn cached_answer(&self, building: &str, key: &ScanKey) -> Option<FloorId> {
-        self.entries
-            .get(building)
-            .and_then(|entry| entry.cache.get(key))
+    /// The registry lock. A poisoned lock is recovered, so one
+    /// panicking request cannot wedge every other connection.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// The assign answer-cache counters, for callers that replay or
-    /// dedupe answers outside [`ModelRegistry::assign`].
-    pub fn assign_counters_mut(&mut self) -> &mut CacheCounters {
-        &mut self.stats.assign_cache
+    /// The body of [`ModelRegistry::get`], run under the caller's lock
+    /// hold and without trace events.
+    fn fetch(
+        &self,
+        state: &mut State,
+        building: &str,
+    ) -> Result<(Arc<FittedModel>, Fetch), ServeError> {
+        validate_building_id(building)?;
+        let path = self.artifact_path(building);
+        let meta = match std::fs::metadata(&path) {
+            Ok(m) => m,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(state.missing_artifact(building, &path))
+            }
+            Err(e) => {
+                return Err(ServeError::Model(format!(
+                    "stat {} failed: {e}",
+                    path.display()
+                )))
+            }
+        };
+        let mtime = meta.modified().ok();
+        let bytes = meta.len();
+
+        state.tick += 1;
+        let tick = state.tick;
+        // Stat-only fast path: the fingerprint matches AND the artifact
+        // mtime is old enough that a same-fingerprint rewrite since the
+        // last content verification is impossible.
+        if let Some(entry) = state.entries.get_mut(building) {
+            let fresh = entry.mtime == mtime
+                && entry.bytes == bytes
+                // No readable mtime: the fingerprint is length alone,
+                // too weak to ever trust without a hash check.
+                && mtime
+                    .and_then(|m| m.checked_add(MTIME_GRANULARITY))
+                    .is_some_and(|edge| edge < entry.verified_at);
+            if fresh {
+                entry.last_used = tick;
+                state.stats.hits += 1;
+                return Ok((Arc::clone(&entry.model), Fetch::Hit));
+            }
+        }
+
+        // Anything else needs the file content: first load, changed
+        // fingerprint, or a fingerprint hit still inside the racy
+        // window. One read serves both the hash check and the parse.
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            // Vanished between stat and read: same handling as a
+            // missing artifact at stat time.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(state.missing_artifact(building, &path))
+            }
+            Err(e) => {
+                return Err(ServeError::Model(format!(
+                    "read {} failed: {e}",
+                    path.display()
+                )))
+            }
+        };
+        let content_hash = fnv1a(FNV_OFFSET, text.as_bytes());
+        let cached = match state.entries.get_mut(building) {
+            Some(entry) if entry.content_hash == content_hash => {
+                // Content unchanged — either a racy-window verification
+                // or a metadata-only rewrite (e.g. touch). Refresh the
+                // fingerprint and keep the model and its answer cache.
+                entry.mtime = mtime;
+                entry.bytes = bytes;
+                entry.verified_at = SystemTime::now();
+                entry.last_used = tick;
+                state.stats.hits += 1;
+                return Ok((Arc::clone(&entry.model), Fetch::Hit));
+            }
+            entry => entry.is_some(),
+        };
+
+        // Cache miss, or the artifact content really changed (hot
+        // reload — including a same-fingerprint rewrite the stat cache
+        // alone would have missed). A failed reload drops the stale
+        // entry — serving the old model after the artifact was replaced
+        // would silently violate the hot-reload contract.
+        let model = match parse_artifact(building, &path, &text) {
+            Ok(model) => Arc::new(model),
+            Err(e) => {
+                state.stats.load_failures += 1;
+                state.drop_entry(building);
+                return Err(e);
+            }
+        };
+        let fetch = if cached {
+            state.stats.reloads += 1;
+            Fetch::Reload
+        } else {
+            state.stats.misses += 1;
+            Fetch::Miss
+        };
+        state.entries.insert(
+            building.to_owned(),
+            Entry {
+                model: Arc::clone(&model),
+                bytes,
+                mtime,
+                content_hash,
+                verified_at: SystemTime::now(),
+                last_used: tick,
+                cache: AssignCache::new(self.config.assign_cache),
+            },
+        );
+        state.enforce_budget(&self.config, building);
+        Ok((model, fetch))
+    }
+}
+
+impl State {
+    /// Drops a cached model, counting the eviction; returns whether it
+    /// was cached.
+    fn drop_entry(&mut self, building: &str) -> bool {
+        let dropped = self.entries.remove(building).is_some();
+        if dropped {
+            self.stats.evictions += 1;
+        }
+        dropped
+    }
+
+    /// The error for an artifact that is not on disk. If it was loaded
+    /// earlier, the entry is dropped and the request fails loudly
+    /// instead of serving a model whose backing file is gone.
+    fn missing_artifact(&mut self, building: &str, path: &Path) -> ServeError {
+        if self.drop_entry(building) {
+            ServeError::Model(format!(
+                "artifact {} was deleted after load; evicted `{building}`",
+                path.display()
+            ))
+        } else {
+            ServeError::UnknownBuilding(format!(
+                "no artifact for `{building}` (expected {})",
+                path.display()
+            ))
+        }
     }
 
     /// Stores an answer that was computed *outside* the registry lock —
@@ -628,7 +651,7 @@ impl ModelRegistry {
     /// meantime, the answer is silently dropped: caching it against a
     /// different model generation could serve a stale floor after the
     /// artifact changed.
-    pub fn store_answer(
+    fn store_answer(
         &mut self,
         building: &str,
         model: &Arc<FittedModel>,
@@ -642,49 +665,13 @@ impl ModelRegistry {
         }
     }
 
-    /// Drops a cached model; returns whether it was cached. The artifact
-    /// stays on disk and the next request reloads it.
-    pub fn evict(&mut self, building: &str) -> bool {
-        let evicted = self.entries.remove(building).is_some();
-        if evicted {
-            self.stats.evictions += 1;
-        }
-        evicted
-    }
-
-    /// Parses an artifact from its already-read text (the caller reads
-    /// the file once for both hashing and parsing) and validates the
-    /// building-id pairing.
-    fn load_artifact(
-        &mut self,
-        building: &str,
-        path: &Path,
-        text: &str,
-    ) -> Result<FittedModel, ServeError> {
-        let model = FittedModel::from_json_str(text.trim_end_matches('\n')).map_err(|e| {
-            self.stats.load_failures += 1;
-            ServeError::from(e)
-        })?;
-        if model.building() != building {
-            self.stats.load_failures += 1;
-            return Err(ServeError::Model(format!(
-                "artifact {} was fitted for building `{}`, not `{building}`; \
-                 registry files must be named after the building they serve",
-                path.display(),
-                model.building()
-            )));
-        }
-        Ok(model)
-    }
-
     /// Evicts least-recently-used models until the budget holds, never
     /// touching `keep` (the model being served right now).
-    fn enforce_budget(&mut self, keep: &str) {
+    fn enforce_budget(&mut self, config: &RegistryConfig, keep: &str) {
         loop {
-            let over_count =
-                self.config.max_models > 0 && self.entries.len() > self.config.max_models;
-            let over_bytes =
-                self.config.max_bytes > 0 && self.total_bytes() > self.config.max_bytes;
+            let over_count = config.max_models > 0 && self.entries.len() > config.max_models;
+            let over_bytes = config.max_bytes > 0
+                && self.entries.values().map(|e| e.bytes).sum::<u64>() > config.max_bytes;
             if !over_count && !over_bytes {
                 return;
             }
@@ -698,8 +685,7 @@ impl ModelRegistry {
                 .map(|(k, _)| k.clone());
             match victim {
                 Some(k) => {
-                    self.entries.remove(&k);
-                    self.stats.evictions += 1;
+                    self.drop_entry(&k);
                 }
                 // Only the active model is left; keep serving it even if
                 // it alone exceeds the byte budget.
@@ -709,236 +695,49 @@ impl ModelRegistry {
     }
 }
 
-/// A thread-safe handle over one [`ModelRegistry`], cheap to clone.
-///
-/// The registry itself stays single-threaded behind a mutex; what makes
-/// this scale is that the lock is held only for *bookkeeping* — fetching
-/// the `Arc<FittedModel>`, consulting the answer cache, storing results —
-/// while the actual inference (`FittedModel::assign` /
-/// `assign_stream`) always runs **outside** the lock. Many connections
-/// can therefore label scans concurrently against the same or different
-/// models; they serialize only on cache lookups and disk loads.
-///
-/// Determinism is unaffected by any interleaving: an assignment is a
-/// pure function of `(model, scan content)`, so the lock acquisition
-/// order can reorder *when* answers are computed or cached, never *what*
-/// they are. The one race that could matter — caching an answer after
-/// the model it came from was hot-reloaded — is closed by
-/// [`ModelRegistry::store_answer`]'s same-`Arc` guard.
-#[derive(Debug, Clone)]
-pub struct SharedRegistry {
-    inner: Arc<std::sync::Mutex<ModelRegistry>>,
-    /// Copied out of the (immutable) config so the hot path can check it
-    /// without taking the lock.
-    assign_cache: usize,
+/// Parses an artifact from its already-read text (the caller reads the
+/// file once for both hashing and parsing) and validates the building-id
+/// pairing.
+fn parse_artifact(building: &str, path: &Path, text: &str) -> Result<FittedModel, ServeError> {
+    let model = FittedModel::from_json_str(text.trim_end_matches('\n'))?;
+    if model.building() != building {
+        return Err(ServeError::Model(format!(
+            "artifact {} was fitted for building `{}`, not `{building}`; \
+             registry files must be named after the building they serve",
+            path.display(),
+            model.building()
+        )));
+    }
+    Ok(model)
 }
 
-impl SharedRegistry {
-    /// Wraps a fresh registry over the configured model directory.
-    pub fn new(config: RegistryConfig) -> Self {
-        let assign_cache = config.assign_cache;
-        Self {
-            inner: Arc::new(std::sync::Mutex::new(ModelRegistry::new(config))),
-            assign_cache,
-        }
-    }
-
-    /// Runs `f` under the registry lock. Keep the closure short — every
-    /// connection serializes on this lock — and never run inference
-    /// inside it.
-    pub fn with<R>(&self, f: impl FnOnce(&mut ModelRegistry) -> R) -> R {
-        let mut guard = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        f(&mut guard)
-    }
-
-    /// Fetches the model for `building` (see [`ModelRegistry::get`]).
-    ///
-    /// # Errors
-    ///
-    /// The [`ModelRegistry::get`] errors.
-    pub fn get(&self, building: &str) -> Result<(Arc<FittedModel>, Fetch), ServeError> {
-        let result = self.with(|reg| reg.get(building));
-        // Recorded on the request thread, after the lock: cache hits at
-        // trace, disk traffic at info, failures at warn — each event
-        // inherits the enclosing request/assign span.
-        match &result {
-            Ok((_, Fetch::Hit)) => obs::event(Level::Trace, "registry", "load")
-                .str("building", building)
-                .str("fetch", "hit")
-                .emit(),
-            Ok((_, fetch)) => obs::event(Level::Info, "registry", "load")
-                .str("building", building)
-                .str(
-                    "fetch",
-                    match fetch {
-                        Fetch::Reload => "reload",
-                        _ => "miss",
-                    },
-                )
-                .emit(),
-            Err(e) => obs::event(Level::Warn, "registry", "load_error")
-                .str("building", building)
-                .str("kind", e.kind())
-                .emit(),
-        }
-        result
-    }
-
-    /// Labels one scan, replaying the answer cache when enabled; the
-    /// inference itself runs outside the registry lock. Bit-identical to
-    /// [`ModelRegistry::assign`] for any thread interleaving.
-    ///
-    /// # Errors
-    ///
-    /// The [`ModelRegistry::get`] errors, plus [`ServeError::Inference`]
-    /// when the scan cannot be embedded.
-    pub fn assign(&self, building: &str, scan: &SignalSample) -> Result<FloorId, ServeError> {
-        if self.assign_cache == 0 {
-            let (model, _) = self.get(building)?;
-            return model.assign(scan).map_err(ServeError::from);
-        }
-        let key = ScanKey::of(scan);
-        let model = self.with(|reg| -> Result<_, ServeError> {
-            let (model, _) = reg.get(building)?;
-            if let Some(floor) = reg.cached_answer(building, &key) {
-                reg.assign_counters_mut().hit();
-                return Ok(Err(floor));
-            }
-            reg.assign_counters_mut().miss();
-            Ok(Ok(model))
-        })?;
-        let hit = model.is_err();
-        obs::event(Level::Trace, "registry", "cache_lookup")
-            .str("building", building)
-            .num("scans", 1.0)
-            .num("hits", if hit { 1.0 } else { 0.0 })
-            .num("computed", if hit { 0.0 } else { 1.0 })
-            .emit();
-        let model = match model {
-            Err(cached) => return Ok(cached),
-            Ok(model) => model,
-        };
-        let floor = model.assign(scan).map_err(ServeError::from)?;
-        self.with(|reg| reg.store_answer(building, &model, key, floor));
-        Ok(floor)
-    }
-
-    /// Labels a batch with the same semantics as
-    /// [`ModelRegistry::assign_batch`] — results in input order, cached
-    /// and in-batch-duplicate scans replayed, only unique missing scans
-    /// fanned out over `threads` — but with the fan-out outside the
-    /// registry lock, so concurrent batches against different models
-    /// overlap fully.
-    ///
-    /// # Errors
-    ///
-    /// Only the [`ModelRegistry::get`] errors; per-scan failures land in
-    /// their result slot.
-    #[allow(clippy::type_complexity)]
-    pub fn assign_batch(
-        &self,
-        building: &str,
-        scans: &[SignalSample],
-        threads: usize,
-    ) -> Result<Vec<Result<FloorId, FisError>>, ServeError> {
-        if self.assign_cache == 0 {
-            let (model, _) = self.get(building)?;
-            return Ok(model.assign_stream(scans, threads));
-        }
-        let keys: Vec<ScanKey> = scans.iter().map(ScanKey::of).collect();
-        let mut results: Vec<Option<Result<FloorId, FisError>>> = vec![None; scans.len()];
-        let mut first_of: HashMap<&ScanKey, usize> = HashMap::new();
-        let mut missing: Vec<usize> = Vec::new();
-        // One lock hold for the whole lookup phase: model fetch plus the
-        // per-scan cache peek (hits fill their slots, the first
-        // occurrence of each missing content queues for compute).
-        let model = self.with(|reg| -> Result<_, ServeError> {
-            let (model, _) = reg.get(building)?;
-            for (i, key) in keys.iter().enumerate() {
-                if let Some(floor) = reg.cached_answer(building, key) {
-                    reg.assign_counters_mut().hit();
-                    results[i] = Some(Ok(floor));
-                } else if first_of.contains_key(key) {
-                    reg.assign_counters_mut().hit();
-                } else {
-                    reg.assign_counters_mut().miss();
-                    first_of.insert(key, i);
-                    missing.push(i);
-                }
-            }
-            Ok(model)
-        })?;
-        obs::event(Level::Trace, "registry", "cache_lookup")
-            .str("building", building)
-            .num("scans", scans.len() as f64)
-            .num("hits", (scans.len() - missing.len()) as f64)
-            .num("computed", missing.len() as f64)
-            .emit();
-        let subset: Vec<SignalSample> = missing.iter().map(|&i| scans[i].clone()).collect();
-        let computed = model.assign_stream(&subset, threads);
-        self.with(|reg| {
-            for (&i, result) in missing.iter().zip(&computed) {
-                if let Ok(floor) = result {
-                    reg.store_answer(building, &model, keys[i].clone(), *floor);
-                }
-            }
-        });
-        for (&i, result) in missing.iter().zip(computed) {
-            results[i] = Some(result);
-        }
-        for i in 0..results.len() {
-            if results[i].is_none() {
-                let first = first_of[&keys[i]];
-                results[i] = results[first].clone();
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|slot| slot.expect("every slot resolved"))
-            .collect())
-    }
-
-    /// Drops a cached model (see [`ModelRegistry::evict`]).
-    pub fn evict(&self, building: &str) -> bool {
-        let evicted = self.with(|reg| reg.evict(building));
-        obs::event(Level::Info, "registry", "evict")
-            .str("building", building)
-            .field("evicted", fis_types::json::Json::Bool(evicted))
-            .emit();
-        evicted
-    }
-
-    /// Lifetime cache counters.
-    pub fn stats(&self) -> RegistryStats {
-        self.with(|reg| reg.stats())
-    }
-
-    /// Number of models currently cached.
-    pub fn len(&self) -> usize {
-        self.with(|reg| reg.len())
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.with(|reg| reg.is_empty())
-    }
-
-    /// Answers cached across all resident models right now.
-    pub fn assign_cache_entries(&self) -> usize {
-        self.with(|reg| reg.assign_cache_entries())
-    }
+/// Records one fetch on the request thread, after the lock: cache hits
+/// at trace, disk traffic at info, failures at warn — each event
+/// inherits the enclosing request/assign span.
+fn trace_fetch(building: &str, fetched: &Result<(Arc<FittedModel>, Fetch), ServeError>) {
+    let (level, name, key, value) = match fetched {
+        Ok((_, Fetch::Hit)) => (Level::Trace, "load", "fetch", "hit"),
+        Ok((_, Fetch::Miss)) => (Level::Info, "load", "fetch", "miss"),
+        Ok((_, Fetch::Reload)) => (Level::Info, "load", "fetch", "reload"),
+        Err(e) => (Level::Warn, "load_error", "kind", e.kind()),
+    };
+    obs::event(level, "registry", name)
+        .str("building", building)
+        .str(key, value)
+        .emit();
 }
 
-/// FNV-1a over a byte slice, used as the artifact content hash for
-/// racy-clean verification (same constants as [`ScanKey`]'s reading
-/// hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The FNV-1a offset basis: the starting state for [`fnv1a`].
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a hash (start from
+/// [`FNV_OFFSET`]). The artifact content hash and [`ScanKey`]'s reading
+/// hash both go through here.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-    }
-    h
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
 }
 
 fn validate_building_id(building: &str) -> Result<(), ServeError> {
@@ -980,6 +779,14 @@ mod tests {
             .unwrap()
     }
 
+    /// One scan through the batch path, which must label it.
+    fn assign_one(reg: &ModelRegistry, building: &str, scan: &SignalSample) -> FloorId {
+        let mut results = reg
+            .assign_batch(building, std::slice::from_ref(scan), 1)
+            .unwrap();
+        results.pop().unwrap().unwrap()
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fis_registry_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -991,7 +798,7 @@ mod tests {
         let dir = temp_dir("lazy");
         let model = quick_model("alpha", 15, 1);
         model.save(dir.join("alpha.json")).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let (m1, f1) = reg.get("alpha").unwrap();
         assert_eq!(f1, Fetch::Miss);
         let (m2, f2) = reg.get("alpha").unwrap();
@@ -1005,7 +812,7 @@ mod tests {
     #[test]
     fn unknown_building_is_typed() {
         let dir = temp_dir("unknown");
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let err = reg.get("ghost").unwrap_err();
         assert_eq!(err.kind(), "unknown_building");
         std::fs::remove_dir_all(&dir).ok();
@@ -1014,7 +821,7 @@ mod tests {
     #[test]
     fn hostile_ids_are_rejected_before_touching_disk() {
         let dir = temp_dir("hostile");
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         for id in ["", ".", "..", "../etc/passwd", "a/b", "a\\b", "nul\0"] {
             assert_eq!(reg.get(id).unwrap_err().kind(), "protocol", "id {id:?}");
         }
@@ -1027,7 +834,7 @@ mod tests {
         quick_model("real-name", 15, 2)
             .save(dir.join("wrong-name.json"))
             .unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let err = reg.get("wrong-name").unwrap_err();
         assert_eq!(err.kind(), "model");
         assert!(err.message().contains("real-name"));
@@ -1039,7 +846,7 @@ mod tests {
     fn corrupt_artifact_is_model_error() {
         let dir = temp_dir("corrupt");
         std::fs::write(dir.join("bad.json"), "{\"schema\": \"nope\"").unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         assert_eq!(reg.get("bad").unwrap_err().kind(), "model");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1049,13 +856,13 @@ mod tests {
         let dir = temp_dir("deleted");
         let path = dir.join("gone.json");
         quick_model("gone", 15, 3).save(&path).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         reg.get("gone").unwrap();
         std::fs::remove_file(&path).unwrap();
         let err = reg.get("gone").unwrap_err();
         assert_eq!(err.kind(), "model");
         assert!(err.message().contains("deleted"));
-        assert_eq!(reg.len(), 0);
+        assert_eq!(reg.snapshot().loaded.len(), 0);
         // A later request (still missing) is a plain unknown building.
         assert_eq!(reg.get("gone").unwrap_err().kind(), "unknown_building");
         std::fs::remove_dir_all(&dir).ok();
@@ -1069,12 +876,12 @@ mod tests {
                 .save(dir.join(format!("{name}.json")))
                 .unwrap();
         }
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir).max_models(2));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir).max_models(2));
         reg.get("a").unwrap();
         reg.get("b").unwrap();
         reg.get("a").unwrap(); // a is now more recent than b
         reg.get("c").unwrap(); // evicts b (LRU)
-        let loaded: Vec<String> = reg.loaded().into_iter().map(|(k, _)| k).collect();
+        let loaded: Vec<String> = reg.snapshot().loaded.into_iter().map(|(k, _)| k).collect();
         assert_eq!(loaded, ["a", "c"]);
         assert_eq!(reg.stats().evictions, 1);
         // b reloads on demand — a fresh miss, identical model.
@@ -1090,10 +897,10 @@ mod tests {
             .save(dir.join("solo.json"))
             .unwrap();
         // 1-byte budget: the lone active model still serves.
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir).max_bytes(1));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir).max_bytes(1));
         let (model, _) = reg.get("solo").unwrap();
         assert_eq!(model.building(), "solo");
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.snapshot().loaded.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1102,7 +909,7 @@ mod tests {
         let dir = temp_dir("reload");
         let path = dir.join("hot.json");
         quick_model("hot", 15, 8).save(&path).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let (old, _) = reg.get("hot").unwrap();
         // Replace with a differently sized artifact (more scans), so the
         // (mtime, len) check trips even on coarse-mtime filesystems.
@@ -1119,7 +926,7 @@ mod tests {
         let dir = temp_dir("racy");
         let path = dir.join("racy.json");
         quick_model("racy", 15, 30).save(&path).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         reg.get("racy").unwrap();
         let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
         // Rewrite with identical byte length, then pin the mtime back to
@@ -1142,7 +949,11 @@ mod tests {
             "a same-fingerprint rewrite must never serve the stale model"
         );
         assert_eq!(reg.stats().load_failures, 1);
-        assert_eq!(reg.len(), 0, "the stale entry was dropped");
+        assert_eq!(
+            reg.snapshot().loaded.len(),
+            0,
+            "the stale entry was dropped"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1152,10 +963,10 @@ mod tests {
         let path = dir.join("touch.json");
         let model = quick_model("touch", 15, 31);
         model.save(&path).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(8));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(8));
         let scan = model.samples()[0].clone();
-        reg.assign("touch", &scan).unwrap();
-        assert_eq!(reg.assign_cache_entries(), 1);
+        assign_one(&reg, "touch", &scan);
+        assert_eq!(reg.snapshot().cache_entries, 1);
         // A fingerprint change with identical content (a `touch`) must
         // refresh the fingerprint, not reload: the answer cache and the
         // loaded generation survive.
@@ -1168,7 +979,7 @@ mod tests {
         let (_, fetch) = reg.get("touch").unwrap();
         assert_eq!(fetch, Fetch::Hit);
         assert_eq!(reg.stats().reloads, 0);
-        assert_eq!(reg.assign_cache_entries(), 1, "answer cache survived");
+        assert_eq!(reg.snapshot().cache_entries, 1, "answer cache survived");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1189,6 +1000,15 @@ mod tests {
             "identical readings under a different id must share a key"
         );
         assert_ne!(ScanKey::of(scan), ScanKey::of(&model.samples()[1]));
+        // The key hash is plain FNV-1a over the readings' bytes laid end
+        // to end, anchored on the published test vector.
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        let bytes: Vec<u8> = scan
+            .iter()
+            .flat_map(|(mac, rssi)| [mac.to_u64(), rssi.dbm().to_bits()].map(u64::to_le_bytes))
+            .flatten()
+            .collect();
+        assert_eq!(ScanKey::of(scan).fnv(), fnv1a(FNV_OFFSET, &bytes));
     }
 
     #[test]
@@ -1196,16 +1016,16 @@ mod tests {
         let dir = temp_dir("ans_hit");
         let model = quick_model("hits", 15, 21);
         model.save(dir.join("hits.json")).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
         let scan = model.samples()[0].clone();
         let direct = model.assign(&scan).unwrap();
-        let first = reg.assign("hits", &scan).unwrap();
-        let second = reg.assign("hits", &scan).unwrap();
+        let first = assign_one(&reg, "hits", &scan);
+        let second = assign_one(&reg, "hits", &scan);
         assert_eq!(first, direct);
         assert_eq!(second, direct);
         let c = reg.stats().assign_cache;
         assert_eq!((c.hits, c.misses, c.insertions), (1, 1, 1));
-        assert_eq!(reg.assign_cache_entries(), 1);
+        assert_eq!(reg.snapshot().cache_entries, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1214,16 +1034,16 @@ mod tests {
         let dir = temp_dir("ans_zero");
         let model = quick_model("zero", 15, 22);
         model.save(dir.join("zero.json")).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let scan = model.samples()[0].clone();
         for _ in 0..3 {
             assert_eq!(
-                reg.assign("zero", &scan).unwrap(),
+                assign_one(&reg, "zero", &scan),
                 model.assign(&scan).unwrap()
             );
         }
         assert_eq!(reg.stats().assign_cache, CacheCounters::default());
-        assert_eq!(reg.assign_cache_entries(), 0);
+        assert_eq!(reg.snapshot().cache_entries, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1232,20 +1052,20 @@ mod tests {
         let dir = temp_dir("ans_fifo");
         let model = quick_model("fifo", 15, 23);
         model.save(dir.join("fifo.json")).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(1));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(1));
         let a = model.samples()[0].clone();
         let b = model.samples()[1].clone();
         // a miss, b miss (evicts a), a miss (evicts b), a hit.
-        reg.assign("fifo", &a).unwrap();
-        reg.assign("fifo", &b).unwrap();
-        reg.assign("fifo", &a).unwrap();
-        reg.assign("fifo", &a).unwrap();
+        assign_one(&reg, "fifo", &a);
+        assign_one(&reg, "fifo", &b);
+        assign_one(&reg, "fifo", &a);
+        assign_one(&reg, "fifo", &a);
         let c = reg.stats().assign_cache;
         assert_eq!((c.hits, c.misses), (1, 3));
         assert_eq!((c.insertions, c.evictions), (3, 2));
-        assert_eq!(reg.assign_cache_entries(), 1);
+        assert_eq!(reg.snapshot().cache_entries, 1);
         // Every answer — cached or not — matches the direct path.
-        assert_eq!(reg.assign("fifo", &b).unwrap(), model.assign(&b).unwrap());
+        assert_eq!(assign_one(&reg, "fifo", &b), model.assign(&b).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1255,14 +1075,14 @@ mod tests {
         let path = dir.join("inv.json");
         let model = quick_model("inv", 15, 24);
         model.save(&path).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
         let scan = model.samples()[0].clone();
-        reg.assign("inv", &scan).unwrap();
-        assert_eq!(reg.assign_cache_entries(), 1);
+        assign_one(&reg, "inv", &scan);
+        assert_eq!(reg.snapshot().cache_entries, 1);
         // Explicit evict drops the answers with the model.
         reg.evict("inv");
-        assert_eq!(reg.assign_cache_entries(), 0);
-        reg.assign("inv", &scan).unwrap();
+        assert_eq!(reg.snapshot().cache_entries, 0);
+        assign_one(&reg, "inv", &scan);
         assert_eq!(
             reg.stats().assign_cache.misses,
             2,
@@ -1272,7 +1092,32 @@ mod tests {
         quick_model("inv", 20, 25).save(&path).unwrap();
         let (_, fetch) = reg.get("inv").unwrap();
         assert_eq!(fetch, Fetch::Reload);
-        assert_eq!(reg.assign_cache_entries(), 0, "reload kept stale answers");
+        assert_eq!(reg.snapshot().cache_entries, 0, "reload kept stale answers");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn answers_from_a_replaced_generation_are_never_cached() {
+        let dir = temp_dir("ans_stale");
+        let model = quick_model("stale", 15, 27);
+        model.save(dir.join("stale.json")).unwrap();
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(8));
+        let (a, _) = reg.get("stale").unwrap();
+        assert!(reg.evict("stale"));
+        let (b, fetch) = reg.get("stale").unwrap();
+        assert_eq!(fetch, Fetch::Miss);
+        assert!(!Arc::ptr_eq(&a, &b));
+        // An answer computed on A outside the lock, stored after B
+        // replaced it, is dropped; the same answer from B is kept.
+        let scan = &model.samples()[0];
+        let floor = a.assign(scan).unwrap();
+        reg.lock()
+            .store_answer("stale", &a, ScanKey::of(scan), floor);
+        assert_eq!(reg.snapshot().cache_entries, 0, "stale generation cached");
+        reg.lock()
+            .store_answer("stale", &b, ScanKey::of(scan), floor);
+        assert_eq!(reg.snapshot().cache_entries, 1);
+        assert_eq!(reg.stats().assign_cache.insertions, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1281,7 +1126,7 @@ mod tests {
         let dir = temp_dir("ans_batch");
         let model = quick_model("batch", 15, 26);
         model.save(dir.join("batch.json")).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
         // Batch with an in-batch duplicate and an alien (error) scan.
         let alien = fis_types::SignalSample::builder(777)
             .reading(
@@ -1322,7 +1167,7 @@ mod tests {
     fn evict_then_reload_is_bit_identical() {
         let dir = temp_dir("roundtrip");
         quick_model("rt", 15, 10).save(dir.join("rt.json")).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let (first, _) = reg.get("rt").unwrap();
         assert!(reg.evict("rt"));
         assert!(!reg.evict("rt"));

@@ -1,6 +1,6 @@
 //! The serving daemon: dispatch loop, pipe mode, concurrent TCP mode.
 //!
-//! [`Daemon`] owns a [`SharedRegistry`] and [`ServingMetrics`] and turns
+//! [`Daemon`] owns a [`ModelRegistry`] and [`ServingMetrics`] and turns
 //! request lines into response lines. Three front-ends share the exact
 //! same dispatch path:
 //!
@@ -19,24 +19,26 @@
 //!
 //! Shared state is interior: [`Daemon::handle_line`] takes `&self`, the
 //! registry serializes only its bookkeeping (inference runs outside the
-//! lock — see [`SharedRegistry`]), and metrics sit behind their own
-//! mutex. Locking order is always registry-then-metrics-free: the two
-//! locks are never held at once, so the daemon cannot deadlock on
+//! lock — see [`crate::registry`]), and metrics sit behind their own
+//! mutex. The two locks are never held at once: `stats` and `metrics`
+//! take a [`ModelRegistry::snapshot`] first and lock the metrics after,
+//! so a `stats` request waiting behind a cold load never blocks other
+//! requests' metrics recording, and the daemon cannot deadlock on
 //! itself.
 
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use fis_obs::{self as obs, Level};
 use fis_types::json::Json;
 
 use crate::error::ServeError;
-use crate::metrics::{RegistryGauges, ServingMetrics};
+use crate::metrics::ServingMetrics;
 use crate::pool::{self, LineServer};
 use crate::protocol::{error_response, parse_frame, BatchRow, Frame, Request, Response};
-use crate::registry::{Fetch, RegistryConfig, SharedRegistry};
+use crate::registry::{Fetch, ModelRegistry, RegistryConfig};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -142,7 +144,7 @@ impl RequestOutcome {
 #[derive(Debug)]
 pub struct Daemon {
     config: DaemonConfig,
-    registry: SharedRegistry,
+    registry: ModelRegistry,
     metrics: Mutex<ServingMetrics>,
     /// Serializes artifact mutations (`extend`, `swap`) against each
     /// other. Inference never takes this lock: while a mutation clones,
@@ -155,7 +157,7 @@ pub struct Daemon {
 impl Daemon {
     /// Creates a daemon with an empty cache and fresh metrics.
     pub fn new(config: DaemonConfig) -> Self {
-        let registry = SharedRegistry::new(config.registry.clone());
+        let registry = ModelRegistry::new(config.registry.clone());
         Self {
             config,
             registry,
@@ -164,15 +166,17 @@ impl Daemon {
         }
     }
 
-    /// The daemon's registry handle (cache state and counters).
-    pub fn registry(&self) -> &SharedRegistry {
+    /// The daemon's registry (cache state and counters).
+    pub fn registry(&self) -> &ModelRegistry {
         &self.registry
     }
 
-    /// The current `stats` payload (also printed on daemon exit).
+    /// The current `stats` payload (also printed on daemon exit). The
+    /// registry snapshot is taken before the metrics lock, never inside
+    /// it.
     pub fn stats_json(&self) -> Json {
-        let metrics = self.metrics.lock().unwrap_or_else(|p| p.into_inner());
-        self.registry.with(|reg| metrics.to_json(reg))
+        let registry = self.registry.snapshot();
+        self.lock_metrics().to_json(&registry)
     }
 
     /// The Prometheus text exposition: every counter, latency summary,
@@ -180,19 +184,12 @@ impl Daemon {
     /// `--metrics FILE` dump on exit. Registry and metrics locks are
     /// taken one after the other, never nested.
     pub fn prometheus_text(&self) -> String {
-        let (stats, gauges) = self.registry.with(|reg| {
-            (
-                reg.stats(),
-                RegistryGauges {
-                    loaded_models: reg.len() as u64,
-                    bytes: reg.total_bytes(),
-                    cache_entries: reg.assign_cache_entries() as u64,
-                    cache_capacity: reg.config().assign_cache as u64,
-                },
-            )
-        });
-        let metrics = self.metrics.lock().unwrap_or_else(|p| p.into_inner());
-        metrics.to_prometheus(&stats, gauges)
+        let registry = self.registry.snapshot();
+        self.lock_metrics().to_prometheus(&registry)
+    }
+
+    fn lock_metrics(&self) -> MutexGuard<'_, ServingMetrics> {
+        self.metrics.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Handles one request line and returns `(response, shutdown)`.
@@ -205,10 +202,7 @@ impl Daemon {
             Ok(frame) => frame,
             Err(fe) => {
                 let latency = started.elapsed().as_secs_f64() * 1e9;
-                self.metrics
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .record(None, 0, 0, true, latency);
+                self.lock_metrics().record(None, 0, 0, true, latency);
                 return (
                     error_response(fe.version, fe.op.as_deref(), fe.id.as_ref(), &fe.error),
                     false,
@@ -254,7 +248,7 @@ impl Daemon {
             // real artifact (or already have a scope) — a client
             // spraying made-up ids must not grow the metrics map
             // without bound.
-            let mut metrics = self.metrics.lock().unwrap_or_else(|p| p.into_inner());
+            let mut metrics = self.lock_metrics();
             let scope = model_key
                 .as_deref()
                 .filter(|b| outcome.tenant_exists || metrics.has_scope(b));
@@ -369,11 +363,9 @@ impl Daemon {
                     ..RequestOutcome::ok(response)
                 },
             },
-            Request::Stats => {
-                let metrics = self.metrics.lock().unwrap_or_else(|p| p.into_inner());
-                let stats = self.registry.with(|reg| metrics.to_json(reg));
-                RequestOutcome::ok(Response::Stats { stats })
-            }
+            Request::Stats => RequestOutcome::ok(Response::Stats {
+                stats: self.stats_json(),
+            }),
             Request::Metrics => RequestOutcome::ok(Response::Metrics {
                 metrics: self.prometheus_text(),
             }),
@@ -430,7 +422,7 @@ impl Daemon {
         let (model, _) = self.registry.get(building)?;
         let mut extended = (*model).clone();
         let report = extended.extend(scans).map_err(ServeError::from)?;
-        let path = self.registry.with(|reg| reg.artifact_path(building));
+        let path = self.registry.artifact_path(building);
         extended.save(&path).map_err(ServeError::from)?;
         self.registry.evict(building);
         span.num("appended", report.appended as f64);
@@ -670,6 +662,30 @@ mod tests {
             "assign + malformed recorded before stats"
         );
         assert_eq!(lines[3].get("op").unwrap().as_str(), Some("shutdown"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stats_waiting_on_the_registry_lock_blocks_no_other_request() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (daemon, dir, _) = daemon_over(&[], "stats_lock");
+        let daemon = &daemon;
+        // Stand-in for a long cold load: the registry lock stays held
+        // while `stats` waits on it and a malformed frame arrives.
+        let held = daemon.registry.lock();
+        std::thread::scope(|s| {
+            let stats = s.spawn(|| daemon.handle_line(r#"{"op":"stats"}"#).0);
+            std::thread::sleep(Duration::from_millis(200));
+            let (tx, rx) = mpsc::channel();
+            s.spawn(move || tx.send(daemon.handle_line("not json").0));
+            let malformed = rx.recv_timeout(Duration::from_secs(10));
+            drop(held);
+            let malformed = malformed.expect("a request blocked behind the stats op");
+            assert_eq!(malformed.get("ok"), Some(&Json::Bool(false)));
+            let stats = stats.join().unwrap();
+            assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
+        });
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -102,7 +102,7 @@ fn n_building_corpus_roundtrips_through_fit_corpus_and_registry() {
     }
 
     // Registry loads each tenant under its own id and serves its scans.
-    let mut registry = ModelRegistry::new(RegistryConfig::new(&models));
+    let registry = ModelRegistry::new(RegistryConfig::new(&models));
     let mut seen = HashSet::new();
     for building in corpus.buildings() {
         let (model, _) = registry.get(building.name()).expect("tenant loads");

@@ -161,7 +161,7 @@ fn journals_reconstruct_routed_requests_and_answers_stay_bit_identical() {
     ));
     let shard = std::thread::spawn(move || daemon.serve_tcp(&shard_listener).unwrap());
 
-    let router = Router::new(RouterConfig::new(vec![shard_addr]).replicas(1));
+    let router = Router::new(RouterConfig::new(vec![shard_addr.clone()]).replicas(1));
     let front_listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let front_addr = front_listener.local_addr().unwrap().to_string();
     let front = std::thread::spawn(move || router.serve_tcp(&front_listener).unwrap());
@@ -172,8 +172,20 @@ fn journals_reconstruct_routed_requests_and_answers_stay_bit_identical() {
     // forwarded frames) — answers must not move.
     obs::set_level(Some(Level::Debug));
     let logged = assign_raw(&front_addr, &building);
-    // Leg 3: stderr off again, journal recording — answers must not move.
+    // Leg 3: stderr off again, journal recording, and the model evicted
+    // on the shard first so the leg's first assign reloads it under the
+    // answer cache — answers must not move.
     obs::set_level(None);
+    let mut evict = TcpStream::connect(&shard_addr).unwrap();
+    writeln!(
+        evict,
+        r#"{{"op":"evict","building":"{}"}}"#,
+        building.name()
+    )
+    .unwrap();
+    let mut evicted = String::new();
+    BufReader::new(evict).read_line(&mut evicted).unwrap();
+    assert!(evicted.contains("\"evicted\":true"), "{}", evicted.trim());
     journal::start(journal::DEFAULT_JOURNAL_CAPACITY);
     let journaled_legs = assign_raw(&front_addr, &building);
     let serve_journal = journal::stop().expect("journal was recording").to_jsonl();
@@ -239,6 +251,13 @@ fn journals_reconstruct_routed_requests_and_answers_stay_bit_identical() {
             .any(|e| field(e, "component") == Some("registry") && field(e, "trace") == Some(trace));
         assert!(registry_hop, "no registry event joined trace {trace}");
     }
+    // The reload inside an answer-cached assign leaves its `load` event.
+    let misses = find(&events, "registry", "load")
+        .into_iter()
+        .filter(|e| field(e, "building") == Some(building.name()))
+        .filter(|e| field(e, "fetch") == Some("miss"))
+        .count();
+    assert_eq!(misses, 1, "one registry load miss in the journaled leg");
 
     // The summarizer digests the same journal into per-stage rows.
     let stages = obs::summarize(&serve_journal);
