@@ -27,7 +27,7 @@ fn bench_building() -> fis_types::Building {
 /// enough for the cache blocking to matter. The kernel is the inner loop
 /// of every training forward/backward pass, so the gate watching these
 /// stages catches regressions in the blocked-loop restructuring without
-/// the noise of the full `gnn/train` stage on top.
+/// the noise of the full `core/fit` stage on top.
 fn bench_linalg(c: &mut Criterion) {
     for &n in &[64usize, 256] {
         let a = fis_linalg::init::uniform_matrix(n, n, -1.0, 1.0, 11);
@@ -111,19 +111,41 @@ fn bench_random_walks(c: &mut Criterion) {
     });
 }
 
-fn bench_gnn_training(c: &mut Criterion) {
+/// A default-config fit of a 2000-scan building (5 floors x 400 scans,
+/// the `io/corpus_parse` corpus) on one thread, as `fis-one fit
+/// --threads 1` runs it: graph, RF-GNN training, clustering, TSP order,
+/// reference embeddings and VP-tree. Training is nearly all of it.
+fn bench_fit(c: &mut Criterion) {
+    let corpus = fis_types::Dataset::new(
+        "bench",
+        vec![BuildingConfig::new("bench", 5)
+            .samples_per_floor(400)
+            .seed(11)
+            .generate()],
+    );
+    let engine = fis_core::FisEngine::new(fis_core::EngineConfig::default().threads(1));
+    let mut group = c.benchmark_group("core");
+    group.sample_size(10);
+    group.bench_function("fit(2000 scans)", |bench| {
+        bench.iter(|| {
+            let fit = engine.fit_corpus(std::hint::black_box(&corpus));
+            assert_eq!(fit.successes().count(), 1, "bench building fits");
+            fit
+        })
+    });
+    group.finish();
+}
+
+fn bench_gnn_embedding(c: &mut Criterion) {
     let b = bench_building();
     let graph = BipartiteGraph::from_samples(b.samples()).unwrap();
     let config = RfGnnConfig::new(8)
         .epochs(1)
         .walks_per_node(2)
         .neighbor_samples(vec![5, 3]);
+    let model = RfGnn::train(&graph, &config).unwrap();
     let mut group = c.benchmark_group("gnn");
     group.sample_size(10);
-    group.bench_function("train(1 epoch, dim 8)", |bench| {
-        bench.iter(|| RfGnn::train(&graph, std::hint::black_box(&config)).unwrap())
-    });
-    let model = RfGnn::train(&graph, &config).unwrap();
     group.bench_function("embed_samples(240)", |bench| {
         bench.iter(|| model.embed_samples(std::hint::black_box(&graph)))
     });
@@ -462,7 +484,8 @@ criterion_group!(
     bench_corpus_parse,
     bench_graph_construction,
     bench_random_walks,
-    bench_gnn_training,
+    bench_fit,
+    bench_gnn_embedding,
     bench_clustering,
     bench_assign,
     bench_tsp,

@@ -219,26 +219,26 @@ impl FisEngine {
     pub fn fit_corpus(&self, corpus: &Dataset) -> CorpusFit {
         let threads = self.threads();
         let started = Instant::now();
-        let _budget_guard =
-            (self.config.threads != 0).then(|| BudgetGuard::set(self.config.threads));
-        let fits = fis_parallel::par_map(corpus.buildings(), 1, |_, building| {
-            let fit_started = Instant::now();
-            let fis = FisOne::new(self.config.pipeline.clone());
-            let outcome = bottom_anchor_or_err(building).and_then(|anchor| {
-                fis.fit(
-                    building.name(),
-                    building.samples(),
-                    building.floors(),
-                    anchor,
-                )
-            });
-            BuildingFit {
-                building: building.name().to_owned(),
-                floors: building.floors(),
-                samples: building.len(),
-                outcome,
-                elapsed: fit_started.elapsed(),
-            }
+        let fits = fis_parallel::with_thread_budget(self.config.threads, || {
+            fis_parallel::par_map(corpus.buildings(), 1, |_, building| {
+                let fit_started = Instant::now();
+                let fis = FisOne::new(self.config.pipeline.clone());
+                let outcome = bottom_anchor_or_err(building).and_then(|anchor| {
+                    fis.fit(
+                        building.name(),
+                        building.samples(),
+                        building.floors(),
+                        anchor,
+                    )
+                });
+                BuildingFit {
+                    building: building.name().to_owned(),
+                    floors: building.floors(),
+                    samples: building.len(),
+                    outcome,
+                    elapsed: fit_started.elapsed(),
+                }
+            })
         });
         CorpusFit {
             fits,
@@ -250,16 +250,14 @@ impl FisEngine {
     fn run(&self, corpus: &Dataset, score: bool) -> CorpusRun {
         let threads = self.threads();
         let started = Instant::now();
-        // An explicit per-engine budget is applied through the process
-        // global, so serialize explicit-budget batches against each
-        // other and restore on drop (panic-safe).
-        let _budget_guard =
-            (self.config.threads != 0).then(|| BudgetGuard::set(self.config.threads));
         // One building per work item; each builds its own FisOne (and
         // therefore its own seeded RNG), so results do not depend on
-        // which worker runs which building.
-        let runs = fis_parallel::par_map(corpus.buildings(), 1, |_, building| {
-            self.run_building(building, score)
+        // which worker runs which building. An explicit engine budget
+        // applies to this call only.
+        let runs = fis_parallel::with_thread_budget(self.config.threads, || {
+            fis_parallel::par_map(corpus.buildings(), 1, |_, building| {
+                self.run_building(building, score)
+            })
         });
         CorpusRun {
             runs,
@@ -301,35 +299,6 @@ fn bottom_anchor_or_err(building: &Building) -> Result<fis_types::LabeledAnchor,
             building.name()
         ))
     })
-}
-
-/// RAII override of the global thread budget: holds a process-wide lock
-/// so two explicit-budget engines cannot clobber each other, and
-/// restores the previous override even if a building panics.
-pub(crate) struct BudgetGuard {
-    previous: usize,
-    _lock: std::sync::MutexGuard<'static, ()>,
-}
-
-impl BudgetGuard {
-    pub(crate) fn set(threads: usize) -> Self {
-        static BUDGET_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let lock = BUDGET_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let previous = fis_parallel::thread_budget_override();
-        fis_parallel::set_thread_budget(threads);
-        Self {
-            previous,
-            _lock: lock,
-        }
-    }
-}
-
-impl Drop for BudgetGuard {
-    fn drop(&mut self) {
-        fis_parallel::set_thread_budget(self.previous);
-    }
 }
 
 fn evaluate_with_prediction(

@@ -94,7 +94,6 @@ use fis_obs::{self as obs, Level};
 use fis_types::json::{FromJson, Json, ToJson};
 use fis_types::{FloorId, LabeledAnchor, MacAddr, SignalSample};
 
-use crate::engine::BudgetGuard;
 use crate::error::FisError;
 use crate::extension::{build_extended_state, ExtendedState, ExtensionReport};
 use crate::indexing::TspSolver;
@@ -525,8 +524,9 @@ impl FittedModel {
         scans: &[SignalSample],
         threads: usize,
     ) -> Vec<Result<FloorId, FisError>> {
-        let _budget_guard = (threads != 0).then(|| BudgetGuard::set(threads));
-        fis_parallel::par_map(scans, 1, |_, scan| self.assign(scan))
+        fis_parallel::with_thread_budget(threads, || {
+            fis_parallel::par_map(scans, 1, |_, scan| self.assign(scan))
+        })
     }
 
     /// Extends the model online with freshly served scans — the answer to
@@ -1201,6 +1201,34 @@ mod tests {
         for (a, b) in one.iter().zip(four.iter()) {
             assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
         }
+    }
+
+    #[test]
+    fn explicit_budgets_do_not_serialize_concurrent_callers() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let (b, model) = quick_fit(5);
+        let (b, model) = (&b, &model);
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            // Holds an explicit-budget region open until released.
+            s.spawn(move || {
+                fis_parallel::with_thread_budget(2, || {
+                    model.assign_stream(&b.samples()[..4], 2);
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                });
+            });
+            entered_rx.recv().unwrap();
+            s.spawn(move || done_tx.send(model.assign_stream(b.samples(), 1)).unwrap());
+            let answered = done_rx.recv_timeout(Duration::from_secs(10));
+            release_tx.send(()).unwrap();
+            let answers = answered.expect("assign_stream waited on another caller's budget");
+            assert_eq!(answers.len(), b.len());
+        });
     }
 
     #[test]

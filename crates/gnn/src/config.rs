@@ -18,9 +18,14 @@ pub struct RfGnnConfig {
     pub walk_length: usize,
     /// Negative samples per positive pair (the paper uses τ = 4).
     pub tau: usize,
-    /// Training epochs over the co-occurrence pairs.
+    /// Training epochs over the co-occurrence pairs (default 8). Each
+    /// epoch takes at most [`crate::STEPS_PER_EPOCH`] Adam steps, so a
+    /// fit does at most `epochs × STEPS_PER_EPOCH` steps at any size.
     pub epochs: usize,
-    /// Positive pairs per minibatch.
+    /// *Minimum* positive pairs per minibatch (default 1024). A building
+    /// with more than `STEPS_PER_EPOCH × batch_pairs` pairs trains on
+    /// `ceil(pairs / STEPS_PER_EPOCH)` pairs per batch instead, so it
+    /// still takes at most [`crate::STEPS_PER_EPOCH`] steps per epoch.
     pub batch_pairs: usize,
     /// Adam learning rate.
     pub learning_rate: f64,
@@ -53,7 +58,7 @@ impl RfGnnConfig {
             walks_per_node: 12,
             walk_length: 5,
             tau: 4,
-            epochs: 30,
+            epochs: 8,
             batch_pairs: 1024,
             learning_rate: 0.02,
             attention: true,

@@ -39,4 +39,4 @@ pub mod train;
 pub use config::RfGnnConfig;
 pub use model::RfGnn;
 pub use persist::{matrix_from_json, matrix_to_json};
-pub use train::TrainReport;
+pub use train::{TrainReport, STEPS_PER_EPOCH};

@@ -1,6 +1,7 @@
 //! Unsupervised training of RF-GNN on random-walk co-occurrence pairs.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use fis_autograd::{Adam, Tape};
 use fis_graph::{cooccurrence_pairs, random_walks, BipartiteGraph, NegativeSampler, WalkStrategy};
@@ -11,6 +12,16 @@ use rand_chacha::ChaCha8Rng;
 use crate::config::RfGnnConfig;
 use crate::model::RfGnn;
 
+/// Most optimizer steps (minibatches) one epoch takes.
+///
+/// Quality follows the number of Adam steps, not the number of pairs
+/// seen, and each step costs a near-full-graph forward and backward on
+/// large buildings. So the batch grows with the pair count instead of
+/// the step count: a fit uses batches of
+/// `max(batch_pairs, ceil(pairs / STEPS_PER_EPOCH))` pairs and does at
+/// most `epochs × STEPS_PER_EPOCH` steps, whatever the building's size.
+pub const STEPS_PER_EPOCH: usize = 50;
+
 /// Summary of one training run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
@@ -18,6 +29,10 @@ pub struct TrainReport {
     pub epoch_losses: Vec<f64>,
     /// Number of positive co-occurrence pairs used per epoch.
     pub pairs: usize,
+    /// Effective positive pairs per minibatch (see [`STEPS_PER_EPOCH`]).
+    pub batch_pairs: usize,
+    /// Optimizer steps taken over the whole run.
+    pub steps: usize,
 }
 
 impl TrainReport {
@@ -28,6 +43,12 @@ impl TrainReport {
             _ => false,
         }
     }
+}
+
+/// Pairs per minibatch for `n_pairs` pairs: `min_batch`, or larger when
+/// that would take more than [`STEPS_PER_EPOCH`] batches per epoch.
+fn batch_size(n_pairs: usize, min_batch: usize) -> usize {
+    min_batch.max(n_pairs.div_ceil(STEPS_PER_EPOCH))
 }
 
 impl RfGnn {
@@ -44,6 +65,9 @@ impl RfGnn {
     }
 
     /// [`RfGnn::train`] that also returns the per-epoch loss trace.
+    ///
+    /// The batch size is fixed once per fit from the seeded pair list
+    /// (see [`STEPS_PER_EPOCH`]), so it is the same for any thread count.
     ///
     /// # Errors
     ///
@@ -72,30 +96,39 @@ impl RfGnn {
             return Err("no co-occurrence pairs: graph has no edges".to_owned());
         }
         let neg_sampler = NegativeSampler::new(graph)?;
+        let batch_pairs = batch_size(pairs.len(), config.batch_pairs);
 
         let mut model = RfGnn::init(graph, config);
         let mut opt = Adam::new(config.learning_rate);
         let mut epoch_losses = Vec::with_capacity(config.epochs);
+        let mut steps = 0usize;
 
         for epoch in 0..config.epochs {
+            let started = Instant::now();
             pairs.shuffle(&mut rng);
             let mut epoch_loss = 0.0;
             let mut batches = 0usize;
-            for batch in pairs.chunks(config.batch_pairs) {
+            for batch in pairs.chunks(batch_pairs) {
                 let loss = model.train_batch(graph, batch, &neg_sampler, &mut rng, &mut opt)?;
                 epoch_loss += loss;
                 batches += 1;
             }
+            steps += batches;
             let mean = epoch_loss / batches.max(1) as f64;
             fis_obs::event(fis_obs::Level::Trace, "gnn", "epoch")
                 .num("epoch", epoch as f64)
                 .num("loss", mean)
+                .num("batches", batches as f64)
+                .num("batch_pairs", batch_pairs as f64)
+                .num("dur_ns", started.elapsed().as_nanos() as f64)
                 .emit();
             epoch_losses.push(mean);
         }
         let report = TrainReport {
             epoch_losses,
             pairs: pairs.len(),
+            batch_pairs,
+            steps,
         };
         Ok((model, report))
     }
@@ -206,6 +239,48 @@ mod tests {
         let (_, report) = RfGnn::train_with_report(&graph, &quick_config()).unwrap();
         assert!(report.improved(), "losses: {:?}", report.epoch_losses);
         assert!(report.pairs > 0);
+    }
+
+    #[test]
+    fn small_graphs_train_at_the_configured_batch_size() {
+        let (graph, _) = tiny_graph(2, 1);
+        let config = quick_config();
+        let (_, report) = RfGnn::train_with_report(&graph, &config).unwrap();
+        assert!(report.pairs < STEPS_PER_EPOCH * config.batch_pairs);
+        assert_eq!(report.batch_pairs, config.batch_pairs);
+        assert_eq!(
+            report.steps,
+            config.epochs * report.pairs.div_ceil(config.batch_pairs)
+        );
+    }
+
+    #[test]
+    fn large_graphs_take_at_most_the_step_budget_per_epoch() {
+        let (graph, _) = tiny_graph(2, 1);
+        let mut config = quick_config();
+        config.batch_pairs = 4;
+        let (_, report) = RfGnn::train_with_report(&graph, &config).unwrap();
+        assert!(report.pairs > STEPS_PER_EPOCH * config.batch_pairs);
+        assert_eq!(report.batch_pairs, report.pairs.div_ceil(STEPS_PER_EPOCH));
+        let batches = report.pairs.div_ceil(report.batch_pairs);
+        assert!(batches <= STEPS_PER_EPOCH, "{batches} batches per epoch");
+        assert_eq!(report.steps, config.epochs * batches);
+    }
+
+    #[test]
+    fn batches_cover_every_pair_exactly_once() {
+        for min_batch in [1, 7, 1024] {
+            for n in [1, 49, 50, 51, 349, 1024 * 50, 1024 * 50 + 1, 51_234] {
+                let pairs: Vec<usize> = (0..n).collect();
+                let size = batch_size(n, min_batch);
+                if n <= STEPS_PER_EPOCH * min_batch {
+                    assert_eq!(size, min_batch);
+                }
+                let batches: Vec<&[usize]> = pairs.chunks(size).collect();
+                assert!(batches.len() <= STEPS_PER_EPOCH, "n={n} min={min_batch}");
+                assert_eq!(batches.concat(), pairs, "n={n} min={min_batch}");
+            }
+        }
     }
 
     #[test]

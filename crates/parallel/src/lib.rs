@@ -18,7 +18,9 @@
 //! The global thread budget defaults to the machine's available
 //! parallelism and can be pinned with the `FIS_THREADS` environment
 //! variable (`FIS_THREADS=1` forces fully serial execution) or
-//! programmatically with [`set_thread_budget`].
+//! programmatically with [`set_thread_budget`]. [`with_thread_budget`]
+//! overrides it for one caller's regions only, so concurrent callers
+//! with different budgets never wait on each other.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,6 +31,8 @@ static DEFAULT_BUDGET: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// The budget set by an enclosing [`with_thread_budget`] (`0`: none).
+    static SCOPED_BUDGET: Cell<usize> = const { Cell::new(0) };
 }
 
 fn default_budget() -> usize {
@@ -44,19 +48,36 @@ fn default_budget() -> usize {
     })
 }
 
-/// The current thread budget (>= 1).
+/// The current thread budget (>= 1): the calling thread's
+/// [`with_thread_budget`] value if one is in effect, else the
+/// process-wide one.
 pub fn thread_budget() -> usize {
-    match BUDGET_OVERRIDE.load(Ordering::Relaxed) {
-        0 => default_budget(),
+    match SCOPED_BUDGET.with(Cell::get) {
+        0 => match BUDGET_OVERRIDE.load(Ordering::Relaxed) {
+            0 => default_budget(),
+            n => n,
+        },
         n => n,
     }
 }
 
-/// The raw override value last passed to [`set_thread_budget`] (`0`
-/// when the default budget is in effect). Lets callers save and restore
-/// the exact override state.
-pub fn thread_budget_override() -> usize {
-    BUDGET_OVERRIDE.load(Ordering::Relaxed)
+/// Runs `f` with the calling thread's budget set to `threads` (`0`
+/// keeps the current budget), restoring it afterwards, even on panic.
+///
+/// Only regions the calling thread opens see the budget; other threads
+/// keep theirs. Workers need nothing, because nested regions run inline.
+pub fn with_thread_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED_BUDGET.with(|b| b.set(self.0));
+        }
+    }
+    if threads == 0 {
+        return f();
+    }
+    let _restore = Restore(SCOPED_BUDGET.with(|b| b.replace(threads)));
+    f()
 }
 
 /// Overrides the thread budget process-wide; `0` restores the default
@@ -288,6 +309,22 @@ mod tests {
         assert_eq!(thread_budget(), 3);
         set_thread_budget(0);
         assert!(thread_budget() >= 1);
+    }
+
+    #[test]
+    fn scoped_budget_is_per_thread_and_restored() {
+        // 1000 is a budget no sibling test sets on the global.
+        with_thread_budget(1000, || {
+            assert_eq!(thread_budget(), 1000);
+            with_thread_budget(0, || assert_eq!(thread_budget(), 1000));
+            std::thread::scope(|s| {
+                s.spawn(|| assert_ne!(thread_budget(), 1000));
+            });
+        });
+        assert_ne!(thread_budget(), 1000);
+        let caught = std::panic::catch_unwind(|| with_thread_budget(1000, || panic!("boom")));
+        assert!(caught.is_err());
+        assert_ne!(thread_budget(), 1000);
     }
 
     #[test]

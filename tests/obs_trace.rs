@@ -5,12 +5,15 @@
 //! single answer byte — neither serving responses nor fit artifacts.
 //!
 //! The journal and the log-level override are process-global, so every
-//! assertion lives in ONE `#[test]` with sequential phases; this file is
-//! its own test binary, so nothing else races the global state.
+//! in-process assertion lives in ONE `#[test]` with sequential phases;
+//! this file is its own test binary, so nothing else races the global
+//! state. The `fit --trace` test runs the CLI in a child process.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::process::Command;
 
+use fis_one::gnn::STEPS_PER_EPOCH;
 use fis_one::obs::{self, journal, Level};
 use fis_one::types::json::{Json, ToJson};
 use fis_one::{
@@ -272,5 +275,69 @@ fn journals_reconstruct_routed_requests_and_answers_stay_bit_identical() {
     front.join().unwrap();
     shard.join().unwrap();
     obs::level::clear_level();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A default-config `fit --trace` explains its training: one `gnn`
+/// `epoch` event per configured epoch, each timed and within the step
+/// budget, and `trace summarize` times the epoch row.
+#[test]
+fn fit_trace_reports_every_epoch_within_the_step_budget() {
+    let dir = std::env::temp_dir().join(format!("fis_fit_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_fis-one"))
+            .args(args)
+            .output()
+            .expect("run fis-one");
+        assert!(
+            out.status.success(),
+            "fis-one {args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let (corpus, model, trace) = (
+        path("corpus.jsonl"),
+        path("model.json"),
+        path("trace.jsonl"),
+    );
+    run(&[
+        "generate",
+        "--floors",
+        "3",
+        "--samples",
+        "20",
+        "--seed",
+        "3",
+        "--out",
+        &corpus,
+    ]);
+    run(&[
+        "fit", "--corpus", &corpus, "--out", &model, "--trace", &trace,
+    ]);
+
+    let journal = std::fs::read_to_string(&trace).unwrap();
+    let events = events_of(&journal);
+    let epochs = find(&events, "gnn", "epoch");
+    assert_eq!(epochs.len(), FisOneConfig::default().gnn.epochs);
+    for epoch in &epochs {
+        let num = |key: &str| epoch.get(key).and_then(Json::as_f64);
+        let batches = num("batches").expect("epoch event carries batches");
+        assert!(
+            batches >= 1.0 && batches <= STEPS_PER_EPOCH as f64,
+            "{batches} batches"
+        );
+        assert!(num("batch_pairs").expect("epoch event carries batch_pairs") >= 1.0);
+        assert!(num("dur_ns").expect("epoch event is timed") > 0.0);
+    }
+    let summary = run(&["trace", "summarize", &trace]);
+    assert!(
+        summary
+            .lines()
+            .any(|l| l.starts_with("gnn") && l.contains("epoch")),
+        "summary has no gnn epoch row:\n{summary}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

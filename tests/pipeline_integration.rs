@@ -43,6 +43,20 @@ fn end_to_end_five_floor_building() {
     assert!(res.edit > 0.6, "edit={}", res.edit);
 }
 
+/// The shipped config identifies floors well above chance on a
+/// benchmark-sized building (4 floors × 60 scans, two seeds).
+#[test]
+fn default_config_meets_the_quality_floor() {
+    for seed in [16, 17] {
+        let b = BuildingConfig::new(format!("default-{seed}"), 4)
+            .samples_per_floor(60)
+            .seed(seed)
+            .generate();
+        let res = evaluate_building(&FisOne::new(FisOneConfig::default()), &b).unwrap();
+        assert!(res.ari >= 0.7, "seed {seed}: ari={}", res.ari);
+    }
+}
+
 #[test]
 fn anchor_sample_always_gets_its_own_label() {
     let b = building(4, 3);
