@@ -18,10 +18,16 @@ pub struct Var(usize);
 ///
 /// Entry order within a row is the accumulation order of the weighted sum,
 /// so it is part of the deterministic-output contract.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RowGroups {
     offsets: Vec<u32>,
     entries: Vec<(u32, f64)>,
+}
+
+impl Default for RowGroups {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
 }
 
 impl RowGroups {
@@ -49,6 +55,12 @@ impl RowGroups {
             .push(u32::try_from(self.entries.len()).expect("entry count fits u32"));
     }
 
+    /// Removes every row, keeping the allocations for reuse.
+    pub fn clear(&mut self) {
+        self.offsets.truncate(1);
+        self.entries.clear();
+    }
+
     /// Builds from nested per-row entry lists (test/convenience path).
     pub fn from_nested(nested: &[Vec<(usize, f64)>]) -> Self {
         let total = nested.iter().map(Vec::len).sum();
@@ -68,7 +80,11 @@ impl RowGroups {
     }
 
     /// The entries of output row `i`, in accumulation order.
-    fn row(&self, i: usize) -> &[(u32, f64)] {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.rows()`.
+    pub fn row(&self, i: usize) -> &[(u32, f64)] {
         &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
@@ -872,6 +888,20 @@ mod tests {
             t.grad(x),
             &Matrix::from_rows(&[&[2.0, 2.0], &[0.0, 0.0], &[1.0, 1.0]])
         );
+    }
+
+    #[test]
+    fn row_groups_default_and_clear_leave_no_rows() {
+        assert_eq!(RowGroups::default().rows(), 0);
+        let mut g = RowGroups::from_nested(&[vec![(0, 0.5), (2, 0.5)], vec![(1, 1.0)]]);
+        assert_eq!(g.rows(), 2);
+        assert_eq!(g.row(1), &[(1, 1.0)]);
+        g.clear();
+        assert_eq!(g.rows(), 0);
+        g.push_entry(3, 2.0);
+        g.finish_row();
+        assert_eq!(g.rows(), 1);
+        assert_eq!(g.row(0), &[(3, 2.0)]);
     }
 
     #[test]

@@ -136,6 +136,44 @@ fn bench_fit(c: &mut Criterion) {
     group.finish();
 }
 
+/// One served `assign_batch` frame as the end-to-end benchmark sends it:
+/// 8 held-out scans against a default-config 240-scan model (4 floors x
+/// 60 scans) at the default thread budget. Unlike the `assign/*` stages,
+/// which time only the 1-NN, this runs the whole per-scan path: RF-GNN
+/// inference over the training graph, then the VP-tree lookup.
+fn bench_assign_stream(c: &mut Criterion) {
+    let base = BuildingConfig::new("bench", 4)
+        .samples_per_floor(60)
+        .seed(7);
+    let corpus = fis_synth::TemporalConfig::new(
+        base,
+        fis_synth::DriftScenario::MixedDensity { cycle: vec![1.0] },
+    )
+    .epochs(1)
+    .scans_per_epoch(8)
+    .generate();
+    let building = &corpus.building;
+    let model = fis_core::FisOne::new(fis_core::FisOneConfig::default().seed(0))
+        .fit(
+            building.name(),
+            building.samples(),
+            building.floors(),
+            building.bottom_anchor().unwrap(),
+        )
+        .expect("bench building fits");
+    let scans = &corpus.epochs[0].samples;
+    assert_eq!(scans.len(), 8);
+    let mut group = c.benchmark_group("core");
+    group.bench_function("assign_stream(8 scans, 240-scan model)", |bench| {
+        bench.iter(|| {
+            let answers = model.assign_stream(std::hint::black_box(scans), 0);
+            assert!(answers.iter().all(Result::is_ok), "every scan answers");
+            answers
+        })
+    });
+    group.finish();
+}
+
 fn bench_gnn_embedding(c: &mut Criterion) {
     let b = bench_building();
     let graph = BipartiteGraph::from_samples(b.samples()).unwrap();
@@ -485,6 +523,7 @@ criterion_group!(
     bench_graph_construction,
     bench_random_walks,
     bench_fit,
+    bench_assign_stream,
     bench_gnn_embedding,
     bench_clustering,
     bench_assign,

@@ -68,7 +68,10 @@ pub use error::FisError;
 pub use evaluate::{evaluate_building, EvalResult};
 pub use extension::{identify_with_arbitrary_anchor, ArbitraryAnchorOutcome, ExtensionReport};
 pub use indexing::{index_clusters, ClusterIndexing, TspSolver};
-pub use model::{FittedModel, MODEL_SCHEMA, MODEL_SCHEMA_VERSION, MODEL_SCHEMA_VERSION_EXTENDED};
+pub use model::{
+    FittedModel, MIN_SCANS_PER_WORKER, MODEL_SCHEMA, MODEL_SCHEMA_VERSION,
+    MODEL_SCHEMA_VERSION_EXTENDED,
+};
 pub use nn::VpTree;
 pub use pipeline::{ClusteringMethod, FisOne, FisOneConfig, FloorPrediction};
 pub use similarity::{ClusterMacProfile, SimilarityMethod};

@@ -12,6 +12,17 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::config::RfGnnConfig;
 
+/// One hop of sampled neighborhoods; see [`RfGnn::sample_hop`].
+#[derive(Default)]
+pub(crate) struct SampledHop {
+    /// The hop's nodes, then the neighbors they drew in first-draw order
+    /// (deduplicated): the next hop's nodes.
+    pub(crate) children: Vec<usize>,
+    /// Row `i` holds node `i`'s draws as `(child slot, normalized weight)`
+    /// in draw order, which is the aggregate's summation order.
+    pub(crate) groups: RowGroups,
+}
+
 /// A trained RF-GNN encoder.
 ///
 /// Holds the learned initial node features `r^0` and the per-hop weight
@@ -155,35 +166,24 @@ impl RfGnn {
         // The child node list starts with the nodes themselves (for the
         // CONCAT self-representation) and extends with sampled neighbors,
         // deduplicated so the recursion stays bounded by the graph size.
-        // Dedup uses a dense stamp vector over the node space rather than
-        // a HashMap: node ids are small dense indices and this runs once
-        // per hop per batch.
-        let mut child_list: Vec<usize> = nodes.to_vec();
-        let mut child_slot: Vec<u32> = vec![u32::MAX; graph.n_nodes()];
-        for (i, &n) in nodes.iter().enumerate() {
-            child_slot[n] = i as u32;
-        }
-        let mut groups = RowGroups::with_capacity(nodes.len(), nodes.len() * sample_size.max(1));
-        let mut sampled: Vec<(usize, f64)> = Vec::with_capacity(sample_size.max(1));
-        for &node in nodes {
-            sampled.clear();
-            self.sample_from_into(graph.neighbors(node), rng, node, sample_size, &mut sampled);
-            let total: f64 = sampled.iter().map(|&(_, w)| w).sum();
-            for &(nbr, w) in &sampled {
-                if child_slot[nbr] == u32::MAX {
-                    child_slot[nbr] = child_list.len() as u32;
-                    child_list.push(nbr);
-                }
-                groups.push_entry(child_slot[nbr] as usize, w / total);
-            }
-            groups.finish_row();
-        }
+        let mut hop = SampledHop {
+            children: nodes.to_vec(),
+            groups: RowGroups::with_capacity(nodes.len(), nodes.len() * sample_size.max(1)),
+        };
+        self.sample_hop(
+            |n| (graph.neighbors(n), graph.weighted_degree(n)),
+            rng,
+            sample_size,
+            &mut hop,
+            &mut vec![u32::MAX; graph.n_nodes()],
+            &mut Vec::with_capacity(sample_size.max(1)),
+        );
 
-        let child_reps = self.layer(tape, graph, rng, vars, &child_list, depth - 1);
-        // Nodes occupy the first positions of child_list by construction.
+        let child_reps = self.layer(tape, graph, rng, vars, &hop.children, depth - 1);
+        // Nodes occupy the first positions of the child list by construction.
         let self_idx: Vec<usize> = (0..nodes.len()).collect();
         let self_reps = tape.gather_rows(child_reps, Arc::new(self_idx));
-        let agg = tape.aggregate(child_reps, Arc::new(groups));
+        let agg = tape.aggregate(child_reps, Arc::new(hop.groups));
         let cat = tape.hcat(self_reps, agg);
         let lin = tape.matmul(cat, vars.weights[hop_index]);
         // σ(·) on the inner hops only. The outermost hop (hop_index 0) stays
@@ -196,33 +196,67 @@ impl RfGnn {
         tape.l2_normalize_rows(act)
     }
 
+    /// Samples one hop for the nodes in `hop.children` (which holds exactly
+    /// the hop's nodes on entry): appends the neighbors they draw to
+    /// `hop.children`, deduplicated in first-draw order, and each node's
+    /// draws to `hop.groups` as one row of `(child slot, w / Σ drawn)`.
+    /// Nodes are sampled in order, so `rng` is consumed identically by the
+    /// tape forward ([`RfGnn::layer`]) and the inference kernel, which
+    /// both call this.
+    ///
+    /// `neighbors(node)` yields a node's adjacency list and its weight
+    /// total. `slot` is a dense stamp vector over every node index (a
+    /// HashMap would cost more: node ids are small dense indices); it must
+    /// be all `u32::MAX` on entry and is left that way. `sampled` is
+    /// scratch for one node's draws.
+    pub(crate) fn sample_hop<'g, R: Rng + ?Sized>(
+        &self,
+        neighbors: impl Fn(usize) -> (&'g [(usize, f64)], f64),
+        rng: &mut R,
+        k: usize,
+        hop: &mut SampledHop,
+        slot: &mut [u32],
+        sampled: &mut Vec<(usize, f64)>,
+    ) {
+        let n_nodes = hop.children.len();
+        for (i, &n) in hop.children.iter().enumerate() {
+            slot[n] = i as u32;
+        }
+        for i in 0..n_nodes {
+            let node = hop.children[i];
+            let (nbrs, total) = neighbors(node);
+            sampled.clear();
+            self.sample_from_into(nbrs, total, rng, node, k, sampled);
+            let drawn: f64 = sampled.iter().map(|&(_, w)| w).sum();
+            for &(nbr, w) in sampled.iter() {
+                if slot[nbr] == u32::MAX {
+                    slot[nbr] = hop.children.len() as u32;
+                    hop.children.push(nbr);
+                }
+                hop.groups.push_entry(slot[nbr] as usize, w / drawn);
+            }
+            hop.groups.finish_row();
+        }
+        for &n in &hop.children {
+            slot[n] = u32::MAX;
+        }
+    }
+
     /// Draws `k` neighbors with replacement together with normalization
-    /// weights, from an explicit adjacency list so the inference path can
-    /// sample from a virtual scan node that is not part of the training
-    /// graph. With attention on, both the draw probability and the
-    /// aggregation weight are proportional to `f(RSS)`; the ablation draws
-    /// uniformly and aggregates with equal weights (mean aggregator).
+    /// weights, appending them to `out`. Takes an explicit adjacency list
+    /// and its weight total (`Σ w`, summed in list order) so the inference
+    /// path can sample from a virtual scan node that is not part of the
+    /// training graph, and so no caller re-sums a list per draw. With
+    /// attention on, both the draw probability and the aggregation weight
+    /// are proportional to `f(RSS)`; the ablation draws uniformly and
+    /// aggregates with equal weights (mean aggregator).
     ///
     /// Isolated nodes contribute a single zero-weight self-loop so the
     /// aggregate is a zero vector rather than a panic.
-    pub(crate) fn sample_from<R: Rng + ?Sized>(
+    fn sample_from_into<R: Rng + ?Sized>(
         &self,
         nbrs: &[(usize, f64)],
-        rng: &mut R,
-        node: usize,
-        k: usize,
-    ) -> Vec<(usize, f64)> {
-        let mut out = Vec::with_capacity(k.max(1));
-        self.sample_from_into(nbrs, rng, node, k, &mut out);
-        out
-    }
-
-    /// [`RfGnn::sample_from`] appending into a caller-owned buffer so the
-    /// per-batch layer loop can reuse one allocation for every node. Draw
-    /// order and arithmetic are identical to the allocating variant.
-    pub(crate) fn sample_from_into<R: Rng + ?Sized>(
-        &self,
-        nbrs: &[(usize, f64)],
+        total: f64,
         rng: &mut R,
         node: usize,
         k: usize,
@@ -234,7 +268,6 @@ impl RfGnn {
         }
         out.reserve(k);
         if self.config.attention {
-            let total: f64 = nbrs.iter().map(|&(_, w)| w).sum();
             for _ in 0..k {
                 let mut x = rng.gen_range(0.0..total);
                 let mut pick = *nbrs.last().expect("non-empty");

@@ -48,6 +48,9 @@ pub struct BipartiteGraph {
     n_samples: usize,
     macs: Vec<MacAddr>,
     adj: Vec<Vec<(usize, f64)>>,
+    /// Per-node sum of edge weights, fixed at construction (the graph is
+    /// immutable) so attention sampling never re-sums an adjacency list.
+    weight_totals: Vec<f64>,
 }
 
 impl BipartiteGraph {
@@ -103,10 +106,15 @@ impl BipartiteGraph {
                 adj[n_samples + mi].push((si, w));
             }
         }
+        let weight_totals = adj
+            .iter()
+            .map(|nbrs| nbrs.iter().map(|&(_, w)| w).sum())
+            .collect();
         Ok(Self {
             n_samples,
             macs,
             adj,
+            weight_totals,
         })
     }
 
@@ -193,9 +201,10 @@ impl BipartiteGraph {
         self.adj[node].len()
     }
 
-    /// Sum of edge weights at a node.
+    /// Sum of edge weights at a node, summed once at construction in
+    /// adjacency order, so O(1) here.
     pub fn weighted_degree(&self, node: usize) -> f64 {
-        self.adj[node].iter().map(|&(_, w)| w).sum()
+        self.weight_totals[node]
     }
 
     /// Draws `k` neighbors of `node` with replacement, with probability
@@ -213,7 +222,7 @@ impl BipartiteGraph {
         if nbrs.is_empty() {
             return Vec::new();
         }
-        let total: f64 = nbrs.iter().map(|&(_, w)| w).sum();
+        let total = self.weight_totals[node];
         (0..k)
             .map(|_| {
                 let mut x = rng.gen_range(0.0..total);
@@ -323,6 +332,16 @@ mod tests {
             .unwrap()
             .1;
         assert_eq!(w, 60.0);
+    }
+
+    #[test]
+    fn weighted_degree_is_the_adjacency_sum() {
+        let g = tiny();
+        for u in 0..g.n_nodes() {
+            let sum: f64 = g.neighbors(u).iter().map(|&(_, w)| w).sum();
+            assert_eq!(g.weighted_degree(u).to_bits(), sum.to_bits(), "node {u}");
+        }
+        assert_eq!(g.weighted_degree(0), 100.0);
     }
 
     #[test]

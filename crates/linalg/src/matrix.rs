@@ -241,6 +241,26 @@ impl Matrix {
         out
     }
 
+    /// One row of [`Matrix::matmul`] without allocating: overwrites `out`
+    /// with `row * self`, where `row` is a `1 x self.rows()` vector.
+    ///
+    /// Runs the same per-row kernel as `matmul`, so `out` is bit-identical
+    /// to the matching row of a `matmul` whose left operand holds `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != self.rows()` or `out.len() != self.cols()`.
+    pub fn row_matmul_into(&self, row: &[f64], out: &mut [f64]) {
+        assert_eq!(row.len(), self.rows, "row_matmul_into row length mismatch");
+        assert_eq!(
+            out.len(),
+            self.cols,
+            "row_matmul_into output length mismatch"
+        );
+        out.fill(0.0);
+        mm_row_kernel(row, &self.data, self.cols, out);
+    }
+
     /// Naive i-k-j reference for [`Matrix::matmul`] (the pre-blocking
     /// kernel, kept as the bit-for-bit determinism reference).
     ///
@@ -662,9 +682,13 @@ fn mm_row_kernel(a_row: &[f64], b: &[f64], out_cols: usize, out_row: &mut [f64])
 }
 
 /// Minimum rows per thread so a parallel region amortizes its spawn
-/// cost: aim for at least ~64k flops of work per worker.
+/// cost: aim for about 1M multiply-adds of work per worker. On a 2-core
+/// VM a two-way split lost to the inline loop for every RF-GNN training
+/// product (`matmul`, `matmul_t`, `t_matmul` of up to 2,060 rows at the
+/// default dim 16) and for square products up to 96 x 96 (64 x 64 ran
+/// 2x slower split); it broke even at 128 x 128 and won at 256 x 256.
 fn par_min_rows(work_per_row: usize) -> usize {
-    (65_536 / work_per_row.max(1)).max(1)
+    ((1 << 20) / work_per_row.max(1)).max(1)
 }
 
 /// Runs `f(row_index, row_slice)` over every row of a flat row-major
@@ -943,8 +967,15 @@ mod tests {
     #[test]
     fn blocked_kernels_bit_identical_to_naive() {
         // Shapes chosen so k and j are NOT multiples of 4 (tail paths) and
-        // cross the parallel threshold at least once.
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (13, 9, 11), (70, 65, 66)] {
+        // cross the parallel threshold at least once (520 rows of 65 x 66
+        // is two workers' worth of ~1M multiply-adds each).
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 5, 7),
+            (13, 9, 11),
+            (70, 65, 66),
+            (520, 65, 66),
+        ] {
             let a = adversarial(m, k, 0);
             let b = adversarial(k, n, 3);
             let bt = adversarial(n, k, 5);
@@ -966,6 +997,12 @@ mod tests {
             );
             let t_naive = Matrix::from_fn(a.cols(), a.rows(), |r, c| a[(c, r)]);
             assert_eq!(a.transpose().as_slice(), t_naive.as_slice());
+            let full = a.matmul_naive(&b);
+            let mut row = vec![f64::NAN; n];
+            for i in 0..m {
+                b.row_matmul_into(a.row(i), &mut row);
+                assert_eq!(row.as_slice(), full.row(i), "row_matmul_into row {i}");
+            }
         }
     }
 

@@ -46,7 +46,9 @@ pub struct DaemonConfig {
     /// Model directory and cache budget.
     pub registry: RegistryConfig,
     /// Thread budget for batch fan-out (`0` = the global
-    /// [`fis_parallel::thread_budget`]).
+    /// [`fis_parallel::thread_budget`]). A batch under 24 scans
+    /// (twice [`fis_core::MIN_SCANS_PER_WORKER`]) is answered on its
+    /// connection thread whatever the budget.
     pub threads: usize,
     /// Largest accepted `assign_batch` size (`0` = unlimited).
     pub max_batch: usize,
