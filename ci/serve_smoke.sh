@@ -142,7 +142,17 @@ echo "serve smoke OK: cache-enabled daemon answers are bit-identical to the cach
 
 # Third pass: two TCP shards behind fis-router, driven by 4 concurrent
 # client connections at once. Every routed, interleaved answer must
-# still be bit-identical to the one-shot `assign` CLI.
+# still be bit-identical to the one-shot `assign` CLI. One silent TCP
+# connection to the router and to each shard stays open from before
+# the clients start until shutdown: a server that stalled behind an
+# idle connection would never answer them, so every process in this
+# pass runs under a time limit and such a stall fails the smoke
+# instead of hanging it. (`timeout` is GNU coreutils; fall back to
+# perl's alarm.)
+limit() {
+  if command -v timeout >/dev/null; then timeout "$@"
+  else perl -e 'alarm shift; exec @ARGV' "$@"; fi
+}
 wait_listen_addr() {
   for _ in $(seq 1 100); do
     addr=$(sed -n 's/.*listening on \([0-9.]*:[0-9]*\).*/\1/p' "$1" | head -n 1)
@@ -153,24 +163,29 @@ wait_listen_addr() {
   return 1
 }
 
-"$bin" serve --models "$work/models" --tcp 127.0.0.1:0 --pool 8 \
+limit 120 "$bin" serve --models "$work/models" --tcp 127.0.0.1:0 --pool 8 \
     2> "$work/shard0.log" &
 pids="$pids $!"
-"$bin" serve --models "$work/models" --tcp 127.0.0.1:0 --pool 8 \
+limit 120 "$bin" serve --models "$work/models" --tcp 127.0.0.1:0 --pool 8 \
     2> "$work/shard1.log" &
 pids="$pids $!"
 shard0=$(wait_listen_addr "$work/shard0.log")
 shard1=$(wait_listen_addr "$work/shard1.log")
-"$router_bin" --listen 127.0.0.1:0 --shards "$shard0,$shard1" \
+limit 120 "$router_bin" --listen 127.0.0.1:0 --shards "$shard0,$shard1" \
     --replicas 2 --pool 8 2> "$work/router.log" &
 pids="$pids $!"
 router_addr=$(wait_listen_addr "$work/router.log")
 echo "serve smoke: router on $router_addr fronting $shard0 + $shard1"
 
-python3 - "$work" "$router_addr" <<'EOF'
+limit 120 python3 - "$work" "$router_addr" "$shard0" "$shard1" <<'EOF'
 import json, socket, sys, threading
 work, addr = sys.argv[1], sys.argv[2]
 host, port = addr.rsplit(":", 1)
+def dial(a):
+    h, p = a.rsplit(":", 1)
+    return socket.create_connection((h, int(p)))
+# Silent connections, held open across the whole concurrent run.
+idle = [dial(a) for a in sys.argv[2:5]]
 lines = open(f"{work}/corpus.jsonl").read().splitlines()
 buildings = [json.loads(l) for l in lines[1:]]
 requests = []
@@ -215,14 +230,17 @@ assert stats["router"]["unavailable"] == 0, stats["router"]
 f.write(json.dumps({"op": "shutdown"}) + "\n"); f.flush()
 assert json.loads(f.readline())["op"] == "shutdown"
 sock.close()
+for s in idle:
+    s.close()
 EOF
 
-wait $pids
+# Wait on each process so a time-limited one fails the pass.
+for pid in $pids; do wait "$pid"; done
 pids=""
 for b in smoke-0 smoke-1 smoke-2; do
   diff "$work/expect-$b.txt" "$work/router-$b.txt"
 done
-echo "serve smoke OK: 4 concurrent connections through the sharded router are bit-identical to the assign CLI"
+echo "serve smoke OK: 4 concurrent connections through the sharded router, with an idle connection held to each tier, are bit-identical to the assign CLI"
 
 # Fourth pass: mid-stream online extension + atomic hot-swap (protocol
 # v2). The daemon's `extend` must publish an artifact byte-identical to

@@ -178,8 +178,8 @@ fn row_json(row: &EpochRow) -> Json {
     ])
 }
 
-/// Merges a `drift/extend` stage into a `fis-one/bench-report` file,
-/// mirroring loadgen's `serve/loadgen` merge so one report feeds the gate.
+/// Merges a `drift/extend` stage into a `fis-one/bench-report` file
+/// (the criterion stage shape), so one report feeds the gate.
 fn merge_bench_stage(path: &str, latencies_ns: &[f64]) -> Result<(), String> {
     let mut sorted = latencies_ns.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));

@@ -1,20 +1,19 @@
 //! Log-bucketed deterministic latency histogram.
 //!
-//! [`Quantiles`](crate::Quantiles) answers "what is p99 right now" from
-//! a decimated sample buffer; [`Histogram`] answers "what does the whole
-//! distribution look like" in O(1) memory with *no* sampling: values are
-//! counted into base-2 buckets (`(2^(i-1), 2^i]`), so the bucket counts
-//! are exact for any stream length and two runs over the same stream are
-//! byte-identical in every rendering. The trade-off is resolution —
-//! quantiles read from a histogram are upper bucket bounds, at worst 2×
-//! the true value — which is the standard Prometheus-histogram contract
-//! and exactly what the serving `metrics` op exposes.
+//! [`Histogram`] answers both "what is p99 right now" and "what does the
+//! whole distribution look like" in O(1) memory with *no* sampling:
+//! values are counted into base-2 buckets (`(2^(i-1), 2^i]`), so the
+//! bucket counts are exact for any stream length and two runs over the
+//! same stream are byte-identical in every rendering. Count, sum, mean,
+//! min and max are exact too. The trade-off is resolution — quantiles
+//! read from a histogram are upper bucket bounds, at worst 2× the true
+//! value — which is the standard Prometheus-histogram contract and
+//! exactly what the serving `stats` and `metrics` ops expose.
 //!
-//! Unlike `Quantiles::push` (which panics, because a NaN latency on the
-//! recording path is an upstream bug), [`Histogram::record`] *rejects*
-//! non-finite and negative values and counts them: the histogram also
-//! ingests values relayed from untrusted journals where a bad value
-//! must be visible but not fatal.
+//! [`Histogram::record`] *rejects* non-finite and negative values and
+//! counts them instead of panicking: the histogram also ingests values
+//! relayed from untrusted journals where a bad value must be visible
+//! but not fatal.
 
 use std::collections::BTreeMap;
 

@@ -10,10 +10,9 @@
 //!
 //! Plus the [`contingency::ContingencyTable`] shared by ARI/NMI,
 //! [`summary`] mean/std helpers for the `mean(std)` cells of Table I,
-//! the [`quantile::Quantiles`] bounded p50/p99 recorder behind the
-//! serving daemon's latency metrics, the [`histogram::Histogram`]
-//! log-bucketed exact distribution behind the `metrics` exposition op,
-//! and the [`cache::CacheCounters`] hit/miss/eviction accounting behind
+//! the [`histogram::Histogram`] log-bucketed exact distribution behind
+//! the serving daemon's latency stats and `metrics` exposition op, and
+//! the [`cache::CacheCounters`] hit/miss/eviction accounting behind
 //! its assign answer cache.
 
 pub mod ari;
@@ -22,7 +21,6 @@ pub mod contingency;
 pub mod edit;
 pub mod histogram;
 pub mod nmi;
-pub mod quantile;
 pub mod summary;
 
 pub use ari::adjusted_rand_index;
@@ -31,5 +29,4 @@ pub use contingency::ContingencyTable;
 pub use edit::{jaro, jaro_winkler};
 pub use histogram::Histogram;
 pub use nmi::{entropy, mutual_information, normalized_mutual_information};
-pub use quantile::Quantiles;
 pub use summary::MeanStd;

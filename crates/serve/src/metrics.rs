@@ -3,8 +3,8 @@
 //! Every request is recorded into the global accumulator, and — when it
 //! named a building whose artifact actually exists — into that model's
 //! scope: the request count, accepted batch size, scans successfully
-//! labeled, error count, and service latency (p50/p99/mean via
-//! [`fis_metrics::Quantiles`]). Model metrics are keyed by building id
+//! labeled, error count, and service latency (a
+//! [`fis_metrics::Histogram`]). Model metrics are keyed by building id
 //! and **survive eviction**: the cache can come and go, the counters
 //! don't. Requests naming buildings that never resolved to an artifact
 //! only count globally, so a client spraying made-up ids cannot grow
@@ -12,9 +12,11 @@
 //! thing as sorted-key JSON, so two daemons with the same request
 //! history report byte-identical stats (up to the timings themselves).
 //!
-//! Each scope also feeds a log-bucketed [`fis_metrics::Histogram`] of
-//! service latency; the v2 `metrics` op exports every counter, the
-//! quantile summaries, and the histograms in Prometheus text format via
+//! The latency histogram counts base-2 buckets exactly, so `count`,
+//! `mean` and `max` are exact, while the `stats` p50/p99 are the upper
+//! bound of the bucket holding that rank, clamped to the max (at worst
+//! one octave above the true value). The v2 `metrics` op exports every
+//! counter and the histograms in Prometheus text format via
 //! [`ServingMetrics::to_prometheus`] (also written by `--metrics FILE`
 //! on daemon exit).
 
@@ -22,7 +24,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use fis_metrics::{Histogram, Quantiles};
+use fis_metrics::Histogram;
 use fis_types::json::Json;
 
 use crate::registry::{RegistrySnapshot, RegistryStats};
@@ -40,12 +42,9 @@ pub struct OpMetrics {
     pub scans: u64,
     /// Largest *accepted* batch (rejected batches don't count).
     pub batch_max: u64,
-    /// Service latency per request, nanoseconds.
-    pub latency_ns: Quantiles,
-    /// The same latency stream as an exact base-2 histogram, for the
-    /// Prometheus exposition. Not part of the `stats` JSON (whose v1
-    /// shape is frozen).
-    pub latency_hist: Histogram,
+    /// Service latency per request, nanoseconds, as an exact base-2
+    /// histogram: the `stats` summary and the Prometheus buckets.
+    pub latency_ns: Histogram,
 }
 
 impl OpMetrics {
@@ -56,8 +55,7 @@ impl OpMetrics {
         if failed {
             self.errors += 1;
         }
-        self.latency_ns.push(latency_ns);
-        self.latency_hist.record(latency_ns);
+        self.latency_ns.record(latency_ns);
     }
 
     /// Mean labeled scans per request (0.0 before any).
@@ -206,7 +204,7 @@ impl ServingMetrics {
         ])
     }
 
-    /// Renders every counter, quantile summary, and latency histogram in
+    /// Renders every counter and latency histogram in
     /// Prometheus text exposition format: the `metrics` op payload and
     /// the `--metrics FILE` dump. Scopes become labels (`scope="global"`
     /// vs `scope="model",building="hq"`); all byte layout is
@@ -256,33 +254,11 @@ impl ServingMetrics {
         }
         let _ = writeln!(
             out,
-            "# HELP fis_latency_quantiles_ns Service latency summary (decimated recorder)"
-        );
-        let _ = writeln!(out, "# TYPE fis_latency_quantiles_ns summary");
-        for (labels, m) in &scopes {
-            let q = &m.latency_ns;
-            for (quantile, value) in [("0.5", q.p50()), ("0.99", q.p99())] {
-                let _ = writeln!(
-                    out,
-                    "fis_latency_quantiles_ns{{{labels},quantile=\"{quantile}\"}} {}",
-                    value.unwrap_or(0.0)
-                );
-            }
-            let sum = q.mean().unwrap_or(0.0) * q.count() as f64;
-            let _ = writeln!(out, "fis_latency_quantiles_ns_sum{{{labels}}} {sum}");
-            let _ = writeln!(
-                out,
-                "fis_latency_quantiles_ns_count{{{labels}}} {}",
-                q.count()
-            );
-        }
-        let _ = writeln!(
-            out,
             "# HELP fis_latency_ns Service latency distribution (base-2 buckets)"
         );
         let _ = writeln!(out, "# TYPE fis_latency_ns histogram");
         for (labels, m) in &scopes {
-            m.latency_hist
+            m.latency_ns
                 .render_prometheus(&mut out, "fis_latency_ns", labels);
         }
         for (metric, value) in [
@@ -352,6 +328,8 @@ mod tests {
     fn stats_json_shape() {
         let mut m = ServingMetrics::new();
         m.record(Some("hq"), 3, 3, false, 5000.0);
+        m.record(Some("hq"), 2, 2, false, 300.0);
+        m.record(Some("hq"), 1, 1, false, 700.0);
         let json = m.to_json(&RegistrySnapshot::default());
         assert!(json.get("uptime_ms").is_some());
         assert_eq!(
@@ -360,11 +338,21 @@ mod tests {
                 .get("requests")
                 .unwrap()
                 .as_usize(),
-            Some(1)
+            Some(3)
         );
         let hq = json.get("models").unwrap().get("hq").unwrap();
-        assert_eq!(hq.get("scans").unwrap().as_usize(), Some(3));
-        assert!(hq.get("latency_ns").unwrap().get("p99").is_some());
+        assert_eq!(hq.get("scans").unwrap().as_usize(), Some(6));
+        // p50/p99 are the histogram's clamped octave bounds; count, mean
+        // and max stay exact.
+        let lat = hq.get("latency_ns").unwrap();
+        let num = |key: &str| lat.get(key).unwrap().as_f64().unwrap();
+        let hist = &m.models["hq"].latency_ns;
+        assert_eq!(num("p50"), hist.p50().unwrap());
+        assert_eq!(num("p99"), hist.p99().unwrap());
+        assert_eq!((num("p50"), num("p99")), (1024.0, 5000.0));
+        assert_eq!(num("count"), 3.0);
+        assert_eq!(num("mean"), 2000.0);
+        assert_eq!(num("max"), 5000.0);
         assert_eq!(
             json.get("registry")
                 .unwrap()
@@ -394,13 +382,21 @@ mod tests {
             "fis_scans_total{scope=\"model\",building=\"hq\"} 3",
             "# TYPE fis_latency_ns histogram",
             "fis_latency_ns_count{scope=\"global\"} 2",
-            "fis_latency_quantiles_ns{scope=\"global\",quantile=\"0.99\"} 5000",
             "fis_registry_loaded_models 1",
             "fis_registry_bytes 1024",
             "fis_assign_cache_capacity 64",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }
+        // One latency family: every scope has its histogram totals, and
+        // no summary family (no `quantile` label) is exported.
+        for labels in ["scope=\"global\"", "scope=\"model\",building=\"hq\""] {
+            for series in ["fis_latency_ns_sum", "fis_latency_ns_count"] {
+                let needle = format!("{series}{{{labels}}} ");
+                assert!(text.contains(&needle), "missing `{needle}` in:\n{text}");
+            }
+        }
+        assert!(!text.contains("quantile"), "summary line in:\n{text}");
         // Every non-comment line is `name{labels} value` with a numeric
         // value — the parseability contract the smoke test rechecks.
         for line in text.lines().filter(|l| !l.starts_with('#')) {

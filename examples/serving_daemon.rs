@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .atrium_aps(0)
             .seed(seed)
             .generate();
-        let model = FisOne::new(FisOneConfig::quick(seed)).fit(
+        let model = FisOne::new(FisOneConfig::default().seed(seed)).fit(
             building.name(),
             building.samples(),
             building.floors(),
