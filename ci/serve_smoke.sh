@@ -242,6 +242,90 @@ for b in smoke-0 smoke-1 smoke-2; do
 done
 echo "serve smoke OK: 4 concurrent connections through the sharded router, with an idle connection held to each tier, are bit-identical to the assign CLI"
 
+# Churn pass: one TCP daemon at --pool 2 and two concurrent clients.
+# One loops evict + assign_batch on smoke-0, so every batch loads its
+# artifact, while the other streams smoke-1 and smoke-2 scan by scan
+# until the churn ends. Both must stay bit-identical to the assign CLI,
+# every evict must cost a registry miss, and a client stalled behind
+# the other building's loads fails the pass at its limit.
+limit 120 "$bin" serve --models "$work/models" --tcp 127.0.0.1:0 --pool 2 \
+    2> "$work/churn.log" &
+pids="$pids $!"
+churn_addr=$(wait_listen_addr "$work/churn.log")
+echo "serve smoke: churn daemon on $churn_addr"
+
+limit 120 python3 - "$work" "$churn_addr" <<'EOF'
+import json, socket, sys, threading
+work, addr = sys.argv[1], sys.argv[2]
+host, port = addr.rsplit(":", 1)
+lines = open(f"{work}/corpus.jsonl").read().splitlines()
+buildings = {b["name"]: b for b in map(json.loads, lines[1:])}
+EVICTS = 20
+done, errors, floors = threading.Event(), [], {}
+def dial():
+    sock = socket.create_connection((host, int(port)))
+    return sock, sock.makefile("rw")
+def call(f, req):
+    f.write(json.dumps(req) + "\n"); f.flush()
+    resp = json.loads(f.readline())
+    assert resp.get("ok"), resp
+    return resp
+def churn():
+    try:
+        sock, f = dial()
+        samples = buildings["smoke-0"]["samples"]
+        batch = {"op": "assign_batch", "building": "smoke-0",
+                 "scans": [{"id": s["id"], "readings": s["readings"]} for s in samples]}
+        answers = set()
+        for _ in range(EVICTS):
+            call(f, {"op": "evict", "building": "smoke-0"})
+            resp = call(f, batch)
+            assert resp["failures"] == 0, resp
+            answers.add(tuple((r["scan_id"], r["floor"]) for r in resp["results"]))
+        assert len(answers) == 1, "churned answers differ across reloads"
+        floors["smoke-0"] = dict(answers.pop())
+        sock.close()
+    except Exception as e:  # surface thread failures to the main thread
+        errors.append(f"churn: {e!r}")
+    finally:
+        done.set()
+def stream():
+    try:
+        sock, f = dial()
+        while True:
+            for name in ("smoke-1", "smoke-2"):
+                for s in buildings[name]["samples"]:
+                    resp = call(f, {"op": "assign", "building": name,
+                                    "scan": {"id": s["id"], "readings": s["readings"]}})
+                    seen = floors.setdefault(name, {}).setdefault(s["id"], resp["floor"])
+                    assert seen == resp["floor"], f"{name} scan {s['id']} changed floor"
+            if done.is_set():
+                break
+        sock.close()
+    except Exception as e:
+        errors.append(f"stream: {e!r}")
+threads = [threading.Thread(target=churn), threading.Thread(target=stream)]
+for t in threads: t.start()
+for t in threads: t.join()
+assert not errors, errors
+for name, b in buildings.items():
+    with open(f"{work}/churn-{name}.txt", "w") as out:
+        for s in b["samples"]:
+            out.write(f"s{s['id']} F{floors[name][s['id']] + 1}\n")
+sock, f = dial()
+registry = call(f, {"op": "stats"})["stats"]["registry"]
+assert registry["misses"] >= EVICTS, f"{EVICTS} evicts but {registry}"
+call(f, {"op": "shutdown"})
+sock.close()
+EOF
+
+for pid in $pids; do wait "$pid"; done
+pids=""
+for b in smoke-0 smoke-1 smoke-2; do
+  diff "$work/expect-$b.txt" "$work/churn-$b.txt"
+done
+echo "serve smoke OK: evict + reload churn on one building kept every building's answers bit-identical to the assign CLI"
+
 # Fourth pass: mid-stream online extension + atomic hot-swap (protocol
 # v2). The daemon's `extend` must publish an artifact byte-identical to
 # the offline `fis-one extend` CLI on the same inputs, and every

@@ -39,8 +39,8 @@ fn bench_linalg(c: &mut Criterion) {
 }
 
 /// Cold-loading a serving artifact: JSON parse, decode, graph + VP-tree
-/// rebuild. This is what every registry miss costs, under the registry
-/// lock. `load(240 scans)` is the default-config f64 artifact of a
+/// rebuild. This is what every registry miss costs, under the building's
+/// load slot. `load(240 scans)` is the default-config f64 artifact of a
 /// 4-floor x 60-scan building, the size the end-to-end benchmark serves.
 fn bench_model_load(c: &mut Criterion) {
     let served = BuildingConfig::new("bench", 4)
@@ -64,6 +64,62 @@ fn bench_model_load(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("load(240 scans)", |bench| {
         bench.iter(|| fis_core::FittedModel::load(std::hint::black_box(&path)).unwrap())
+    });
+    group.finish();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A registry hit on a resident building while another building loads:
+/// what one tenant's cold load costs another tenant's warm request. Both
+/// artifacts are default-config 240-scan models (4 floors x 60 scans); a
+/// second thread loops `evict` + `get` on the cold one for the whole
+/// measurement. The artifacts' mtimes are set well in the past, so a hit
+/// is a stat plus a fingerprint check, as in steady-state serving.
+fn bench_registry(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("fis-bench-registry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let settled = std::time::SystemTime::now() - std::time::Duration::from_secs(60);
+    for name in ["warm", "cold"] {
+        let building = BuildingConfig::new(name, 4)
+            .samples_per_floor(60)
+            .seed(7)
+            .generate();
+        let path = dir.join(format!("{name}.json"));
+        fis_core::FisOne::new(fis_core::FisOneConfig::default().seed(0))
+            .fit(
+                building.name(),
+                building.samples(),
+                building.floors(),
+                building.bottom_anchor().unwrap(),
+            )
+            .expect("bench building fits")
+            .save(&path)
+            .expect("artifact saves");
+        std::fs::File::options()
+            .append(true)
+            .open(&path)
+            .and_then(|f| f.set_modified(settled))
+            .expect("artifact mtime set");
+    }
+    let registry = fis_serve::ModelRegistry::new(fis_serve::RegistryConfig::new(&dir));
+    registry.get("warm").expect("warm artifact loads");
+    let loading = std::sync::atomic::AtomicBool::new(true);
+    let mut group = c.benchmark_group("serve");
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while loading.load(std::sync::atomic::Ordering::Relaxed) {
+                registry.evict("cold");
+                registry.get("cold").expect("cold artifact loads");
+            }
+        });
+        group.bench_function("get_hit_during_load(240-scan model)", |bench| {
+            bench.iter(|| {
+                let (model, fetch) = registry.get(std::hint::black_box("warm")).unwrap();
+                assert_eq!(fetch, fis_serve::Fetch::Hit, "warm stays resident");
+                model
+            })
+        });
+        loading.store(false, std::sync::atomic::Ordering::Relaxed);
     });
     group.finish();
     std::fs::remove_dir_all(&dir).ok();
@@ -519,6 +575,7 @@ criterion_group!(
     benches,
     bench_linalg,
     bench_model_load,
+    bench_registry,
     bench_corpus_parse,
     bench_graph_construction,
     bench_random_walks,

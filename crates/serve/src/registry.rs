@@ -20,13 +20,18 @@
 //! - **Racy-clean verification** — a rewrite that keeps both mtime and
 //!   byte length identical (possible within the filesystem's mtime
 //!   granularity) is invisible to the stat fingerprint — the classic
-//!   stat-cache race. Each entry therefore keeps the FNV-1a hash of its
-//!   artifact bytes: while the artifact's mtime is close enough to the
+//!   stat-cache race. Each entry therefore keeps a content hash of its
+//!   artifact bytes (FNV-1a over little-endian 8-byte words, see
+//!   [`content_hash`]): while the artifact's mtime is close enough to the
 //!   last verification that a same-fingerprint rewrite is possible
 //!   (within [`MTIME_GRANULARITY`]), a fingerprint "hit" re-reads the
 //!   file and compares hashes, reloading on mismatch. Once the mtime is
 //!   safely older than a verification, hits go back to stat-only — the
 //!   hash check self-retires, so steady-state serving never re-reads.
+//!   An entry records the fingerprint stat'd *before* its read and a
+//!   verification time taken before the read too, so a rewrite that
+//!   lands while a load is in flight is caught on the next request, by
+//!   the fingerprint or by the racy-window hash check.
 //!   Conversely, a fingerprint *change* with an unchanged hash (e.g. a
 //!   `touch`) just refreshes the fingerprint instead of reloading, so
 //!   answer caches survive metadata-only rewrites.
@@ -44,12 +49,22 @@
 //!
 //! [`ModelRegistry`] is shared by reference across connections: every
 //! method takes `&self`, and the state sits behind one private mutex
-//! held only for *bookkeeping* — stat, load, answer-cache lookups and
-//! stores. Inference ([`FittedModel::assign_stream`]) always runs
-//! outside the lock, and so do the `registry` trace events. An
-//! assignment is a pure function of `(model, scan content)`, so lock
-//! order can change *when* answers are computed or cached, never *what*
-//! they are.
+//! held only for *bookkeeping* — the fingerprint check, installing an
+//! entry, the budget, answer-cache lookups and stores. A request stats
+//! its artifact before taking the lock; a fresh fingerprint is a hit in
+//! one short lock hold. Anything else takes the building's *load slot*,
+//! a per-building mutex held outside the registry lock, and checks the
+//! entry again, because a request that waited on the slot usually finds
+//! the entry the load it waited on installed. The read, content hash
+//! and parse run with no registry lock held, so requests for the same
+//! building share one load and requests for other buildings never wait
+//! on it. Slots exist only for artifacts that were on disk, and a slot
+//! goes with its entry (or its failed load) once no request holds it.
+//!
+//! Inference ([`FittedModel::assign_stream`]) always runs outside the
+//! lock, and so do the `registry` trace events. An assignment is a pure
+//! function of `(model, scan content)`, so lock order can change *when*
+//! answers are computed or cached, never *what* they are.
 //!
 //! # Assign answer cache
 //!
@@ -85,8 +100,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::SystemTime;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Instant, SystemTime};
 
 use fis_core::{FisError, FittedModel};
 use fis_metrics::CacheCounters;
@@ -294,17 +309,25 @@ pub const MTIME_GRANULARITY: std::time::Duration = std::time::Duration::from_sec
 struct Entry {
     model: Arc<FittedModel>,
     /// Artifact size on disk: the byte-budget proxy, and — together
-    /// with `mtime` — the change-detection fingerprint.
+    /// with `mtime` — the change-detection fingerprint. Both are stat'd
+    /// *before* the read that produced `model`, so a rewrite that lands
+    /// during the load leaves a fingerprint the next request sees as
+    /// changed or still inside the racy window.
     bytes: u64,
     mtime: Option<SystemTime>,
-    /// FNV-1a over the artifact bytes as loaded: the ground truth the
-    /// fingerprint is only a proxy for.
+    /// [`content_hash`] of the artifact bytes as loaded: the ground
+    /// truth the fingerprint is only a proxy for.
     content_hash: u64,
-    /// When the cached model was last proven to match the file content
-    /// (load, reload, or an explicit hash check). A fingerprint hit is
-    /// trusted without re-reading only once the artifact's mtime is at
-    /// least [`MTIME_GRANULARITY`] older than this.
+    /// When the read that last proved the cached model matches the file
+    /// content began (load, reload, or an explicit hash check); taken
+    /// before that read. A fingerprint hit is trusted without re-reading
+    /// only once the artifact's mtime is at least [`MTIME_GRANULARITY`]
+    /// older than this.
     verified_at: SystemTime,
+    /// Registry tick of the lock hold that installed or last re-verified
+    /// the entry. A request that arrived at an earlier tick with the same
+    /// fingerprint was concurrent with that read, and shares its result.
+    verified_tick: u64,
     last_used: u64,
     /// Answers for exactly this model generation; dropped with the
     /// entry on evict/reload, so invalidation is structural.
@@ -322,10 +345,35 @@ pub enum Fetch {
     Reload,
 }
 
+/// An artifact's stat fingerprint.
+#[derive(Debug, Clone, Copy)]
+struct Stat {
+    mtime: Option<SystemTime>,
+    bytes: u64,
+}
+
+/// Where a fetch that took the load slot spent its time: the fields of
+/// its `registry` `load` event.
+#[derive(Debug, Clone, Copy, Default)]
+struct LoadTimes {
+    /// Waiting on the building's load slot.
+    wait_ns: u64,
+    /// This request's own read, content hash and parse.
+    load_ns: u64,
+}
+
+/// What [`ModelRegistry::get`] returns.
+type Fetched = Result<(Arc<FittedModel>, Fetch), ServeError>;
+
 /// Everything behind the registry lock.
 #[derive(Debug, Default)]
 pub(crate) struct State {
     entries: HashMap<String, Entry>,
+    /// Single-flight load slots of the buildings some request is loading
+    /// or verifying. Clones are taken and dropped only under the registry
+    /// lock, so a slot whose strong count is 1 is held by no request, and
+    /// the last request to let go of it removes it.
+    slots: HashMap<String, Arc<Mutex<()>>>,
     tick: u64,
     stats: RegistryStats,
 }
@@ -391,8 +439,9 @@ impl ModelRegistry {
     /// - [`ServeError::Model`] when the artifact vanished after load, is
     ///   corrupt, or was fitted for a different building id.
     pub fn get(&self, building: &str) -> Result<(Arc<FittedModel>, Fetch), ServeError> {
-        let fetched = self.fetch(&mut self.lock(), building);
-        trace_fetch(building, &fetched);
+        let mut times = LoadTimes::default();
+        let fetched = self.fetch(building, &mut times);
+        trace_fetch(building, &fetched, times);
         fetched
     }
 
@@ -416,42 +465,41 @@ impl ModelRegistry {
         scans: &[SignalSample],
         threads: usize,
     ) -> Result<Vec<Result<FloorId, FisError>>, ServeError> {
+        let (model, _) = self.get(building)?;
         if self.config.assign_cache == 0 {
-            let (model, _) = self.get(building)?;
             return Ok(model.assign_stream(scans, threads));
         }
         let keys: Vec<ScanKey> = scans.iter().map(ScanKey::of).collect();
         let mut results: Vec<Option<Result<FloorId, FisError>>> = vec![None; scans.len()];
         let mut first_of: HashMap<&ScanKey, usize> = HashMap::new();
         let mut missing: Vec<usize> = Vec::new();
-        // One lock hold for the whole lookup phase: model fetch plus the
-        // per-scan cache peek in input order (hits fill their slots, the
-        // first occurrence of each missing content queues for compute,
-        // later duplicates replay it).
-        let fetched = {
+        // One lock hold for the whole lookup phase: the per-scan cache
+        // peek in input order, on the entry that still holds the fetched
+        // model (a generation replaced since the fetch is all-miss). Hits
+        // fill their slots, the first occurrence of each missing content
+        // queues for compute, later duplicates replay it.
+        {
             let mut guard = self.lock();
-            let fetched = self.fetch(&mut guard, building);
-            if fetched.is_ok() {
-                let state = &mut *guard;
-                let cache = state.entries.get(building).map(|e| &e.cache);
-                let counters = &mut state.stats.assign_cache;
-                for (i, key) in keys.iter().enumerate() {
-                    if let Some(floor) = cache.and_then(|c| c.get(key)) {
-                        counters.hit();
-                        results[i] = Some(Ok(floor));
-                    } else if first_of.contains_key(key) {
-                        counters.hit();
-                    } else {
-                        counters.miss();
-                        first_of.insert(key, i);
-                        missing.push(i);
-                    }
+            let state = &mut *guard;
+            let cache = state
+                .entries
+                .get(building)
+                .filter(|e| Arc::ptr_eq(&e.model, &model))
+                .map(|e| &e.cache);
+            let counters = &mut state.stats.assign_cache;
+            for (i, key) in keys.iter().enumerate() {
+                if let Some(floor) = cache.and_then(|c| c.get(key)) {
+                    counters.hit();
+                    results[i] = Some(Ok(floor));
+                } else if first_of.contains_key(key) {
+                    counters.hit();
+                } else {
+                    counters.miss();
+                    first_of.insert(key, i);
+                    missing.push(i);
                 }
             }
-            fetched
-        };
-        trace_fetch(building, &fetched);
-        let (model, _) = fetched?;
+        }
         obs::event(Level::Trace, "registry", "cache_lookup")
             .str("building", building)
             .num("scans", scans.len() as f64)
@@ -489,7 +537,11 @@ impl ModelRegistry {
     /// Drops a cached model; returns whether it was cached. The artifact
     /// stays on disk and the next request reloads it.
     pub fn evict(&self, building: &str) -> bool {
-        let evicted = self.lock().drop_entry(building);
+        // Freeing the model is not bookkeeping: it happens after the
+        // registry lock is released.
+        let dropped = self.lock().take_entry(building);
+        let evicted = dropped.is_some();
+        drop(dropped);
         obs::event(Level::Info, "registry", "evict")
             .str("building", building)
             .field("evicted", fis_types::json::Json::Bool(evicted))
@@ -500,22 +552,23 @@ impl ModelRegistry {
     /// The registry lock. A poisoned lock is recovered, so one
     /// panicking request cannot wedge every other connection.
     pub(crate) fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The body of [`ModelRegistry::get`], run under the caller's lock
-    /// hold and without trace events.
-    fn fetch(
-        &self,
-        state: &mut State,
-        building: &str,
-    ) -> Result<(Arc<FittedModel>, Fetch), ServeError> {
+    /// The body of [`ModelRegistry::get`], without trace events. Stats
+    /// the artifact before taking the lock; a fresh fingerprint is a hit
+    /// in one lock hold, and anything else runs [`Self::load`] under the
+    /// building's load slot.
+    fn fetch(&self, building: &str, times: &mut LoadTimes) -> Fetched {
         validate_building_id(building)?;
         let path = self.artifact_path(building);
-        let meta = match std::fs::metadata(&path) {
-            Ok(m) => m,
+        let stat = match std::fs::metadata(&path) {
+            Ok(meta) => Stat {
+                mtime: meta.modified().ok(),
+                bytes: meta.len(),
+            },
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(state.missing_artifact(building, &path))
+                return Err(self.lock().missing_artifact(building, &path))
             }
             Err(e) => {
                 return Err(ServeError::Model(format!(
@@ -524,76 +577,107 @@ impl ModelRegistry {
                 )))
             }
         };
-        let mtime = meta.modified().ok();
-        let bytes = meta.len();
-
-        state.tick += 1;
-        let tick = state.tick;
-        // Stat-only fast path: the fingerprint matches AND the artifact
-        // mtime is old enough that a same-fingerprint rewrite since the
-        // last content verification is impossible.
-        if let Some(entry) = state.entries.get_mut(building) {
-            let fresh = entry.mtime == mtime
-                && entry.bytes == bytes
-                // No readable mtime: the fingerprint is length alone,
-                // too weak to ever trust without a hash check.
-                && mtime
-                    .and_then(|m| m.checked_add(MTIME_GRANULARITY))
-                    .is_some_and(|edge| edge < entry.verified_at);
-            if fresh {
-                entry.last_used = tick;
-                state.stats.hits += 1;
-                return Ok((Arc::clone(&entry.model), Fetch::Hit));
+        let (arrival, slot) = {
+            let mut state = self.lock();
+            state.tick += 1;
+            let arrival = state.tick;
+            if let Some(hit) = state.hit(building, stat, arrival) {
+                return Ok(hit);
             }
-        }
+            let slot = state.slots.entry(building.to_owned()).or_default();
+            (arrival, Arc::clone(slot))
+        };
+        let waiting = Instant::now();
+        // Recovered on poison like the registry lock: the slot guards no
+        // data, only who loads next.
+        let flight = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        times.wait_ns = elapsed_ns(waiting);
+        let (fetched, mut state) = self.load(building, &path, stat, arrival, times);
+        drop(flight);
+        state.release_slot(building, slot);
+        fetched
+    }
+
+    /// The slow path, run holding `building`'s load slot: check the
+    /// entry again, then read, hash and — unless the content is the
+    /// cached generation's — parse with no registry lock held. Returns
+    /// with the registry lock of its last bookkeeping step still held,
+    /// so the caller lets go of the slot under it.
+    fn load(
+        &self,
+        building: &str,
+        path: &Path,
+        stat: Stat,
+        arrival: u64,
+        times: &mut LoadTimes,
+    ) -> (Fetched, MutexGuard<'_, State>) {
+        // A request that waited on the slot usually finds the entry the
+        // load it waited on installed.
+        let known = {
+            let mut state = self.lock();
+            state.tick += 1;
+            if let Some(hit) = state.hit(building, stat, arrival) {
+                return (Ok(hit), state);
+            }
+            state
+                .entries
+                .get(building)
+                .map(|e| (Arc::clone(&e.model), e.content_hash))
+        };
 
         // Anything else needs the file content: first load, changed
         // fingerprint, or a fingerprint hit still inside the racy
         // window. One read serves both the hash check and the parse.
-        let text = match std::fs::read_to_string(&path) {
+        let started = Instant::now();
+        let verified_at = SystemTime::now();
+        let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
-            // Vanished between stat and read: same handling as a
-            // missing artifact at stat time.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(state.missing_artifact(building, &path))
-            }
             Err(e) => {
-                return Err(ServeError::Model(format!(
-                    "read {} failed: {e}",
-                    path.display()
-                )))
+                let mut state = self.lock();
+                // Vanished between stat and read: same handling as a
+                // missing artifact at stat time.
+                let err = if e.kind() == std::io::ErrorKind::NotFound {
+                    state.missing_artifact(building, path)
+                } else {
+                    ServeError::Model(format!("read {} failed: {e}", path.display()))
+                };
+                return (Err(err), state);
             }
         };
-        let content_hash = fnv1a(FNV_OFFSET, text.as_bytes());
-        let cached = match state.entries.get_mut(building) {
-            Some(entry) if entry.content_hash == content_hash => {
-                // Content unchanged — either a racy-window verification
-                // or a metadata-only rewrite (e.g. touch). Refresh the
-                // fingerprint and keep the model and its answer cache.
-                entry.mtime = mtime;
-                entry.bytes = bytes;
-                entry.verified_at = SystemTime::now();
-                entry.last_used = tick;
-                state.stats.hits += 1;
-                return Ok((Arc::clone(&entry.model), Fetch::Hit));
+        let content_hash = content_hash(text.as_bytes());
+        if let Some((model, _)) = known.filter(|&(_, hash)| hash == content_hash) {
+            // Content unchanged — either a racy-window verification or a
+            // metadata-only rewrite (e.g. touch). Refresh the fingerprint
+            // and keep the model and its answer cache; if the entry was
+            // evicted during the read, load it afresh below.
+            let mut state = self.lock();
+            if state.refresh(building, &model, stat, verified_at) {
+                return (Ok((model, Fetch::Hit)), state);
             }
-            entry => entry.is_some(),
-        };
+        }
 
         // Cache miss, or the artifact content really changed (hot
         // reload — including a same-fingerprint rewrite the stat cache
-        // alone would have missed). A failed reload drops the stale
-        // entry — serving the old model after the artifact was replaced
-        // would silently violate the hot-reload contract.
-        let model = match parse_artifact(building, &path, &text) {
-            Ok(model) => Arc::new(model),
+        // alone would have missed).
+        let parsed = parse_artifact(building, path, &text).map(Arc::new);
+        // Freed here, not under the lock taken next.
+        drop(text);
+        times.load_ns = elapsed_ns(started);
+        let mut state = self.lock();
+        let model = match parsed {
+            Ok(model) => model,
             Err(e) => {
+                // A failed reload drops the stale entry — serving the old
+                // model after the artifact was replaced would silently
+                // violate the hot-reload contract.
                 state.stats.load_failures += 1;
                 state.drop_entry(building);
-                return Err(e);
+                return (Err(e), state);
             }
         };
-        let fetch = if cached {
+        state.tick += 1;
+        let tick = state.tick;
+        let fetch = if state.entries.contains_key(building) {
             state.stats.reloads += 1;
             Fetch::Reload
         } else {
@@ -604,28 +688,103 @@ impl ModelRegistry {
             building.to_owned(),
             Entry {
                 model: Arc::clone(&model),
-                bytes,
-                mtime,
+                bytes: stat.bytes,
+                mtime: stat.mtime,
                 content_hash,
-                verified_at: SystemTime::now(),
+                verified_at,
+                verified_tick: tick,
                 last_used: tick,
                 cache: AssignCache::new(self.config.assign_cache),
             },
         );
         state.enforce_budget(&self.config, building);
-        Ok((model, fetch))
+        (Ok((model, fetch)), state)
     }
 }
 
 impl State {
+    /// A hit on `building`'s entry for a request that took `stat` and
+    /// arrived at tick `arrival`: the fingerprint matches, and either
+    /// the entry was installed or re-verified after the request arrived
+    /// (the request was concurrent with that read), or the artifact's
+    /// mtime is old enough that a same-fingerprint rewrite since the
+    /// last verification is impossible.
+    fn hit(
+        &mut self,
+        building: &str,
+        stat: Stat,
+        arrival: u64,
+    ) -> Option<(Arc<FittedModel>, Fetch)> {
+        let entry = self.entries.get_mut(building)?;
+        let fresh = entry.mtime == stat.mtime
+            && entry.bytes == stat.bytes
+            && (entry.verified_tick > arrival
+                // No readable mtime: the fingerprint is length alone,
+                // too weak to ever trust without a hash check.
+                || stat
+                    .mtime
+                    .and_then(|m| m.checked_add(MTIME_GRANULARITY))
+                    .is_some_and(|edge| edge < entry.verified_at));
+        if !fresh {
+            return None;
+        }
+        entry.last_used = self.tick;
+        self.stats.hits += 1;
+        Some((Arc::clone(&entry.model), Fetch::Hit))
+    }
+
+    /// Records a read of unchanged content on `building`'s entry, if it
+    /// still holds `model`; returns whether it did.
+    fn refresh(
+        &mut self,
+        building: &str,
+        model: &Arc<FittedModel>,
+        stat: Stat,
+        verified_at: SystemTime,
+    ) -> bool {
+        self.tick += 1;
+        let Some(entry) = self
+            .entries
+            .get_mut(building)
+            .filter(|e| Arc::ptr_eq(&e.model, model))
+        else {
+            return false;
+        };
+        entry.mtime = stat.mtime;
+        entry.bytes = stat.bytes;
+        entry.verified_at = verified_at;
+        entry.verified_tick = self.tick;
+        entry.last_used = self.tick;
+        self.stats.hits += 1;
+        true
+    }
+
+    /// Lets go of a request's clone of `building`'s load slot, removing
+    /// the slot once no request holds it.
+    fn release_slot(&mut self, building: &str, slot: Arc<Mutex<()>>) {
+        drop(slot);
+        if self
+            .slots
+            .get(building)
+            .is_some_and(|s| Arc::strong_count(s) == 1)
+        {
+            self.slots.remove(building);
+        }
+    }
+
+    /// Removes a cached model, counting the eviction.
+    fn take_entry(&mut self, building: &str) -> Option<Entry> {
+        let taken = self.entries.remove(building);
+        if taken.is_some() {
+            self.stats.evictions += 1;
+        }
+        taken
+    }
+
     /// Drops a cached model, counting the eviction; returns whether it
     /// was cached.
     fn drop_entry(&mut self, building: &str) -> bool {
-        let dropped = self.entries.remove(building).is_some();
-        if dropped {
-            self.stats.evictions += 1;
-        }
-        dropped
+        self.take_entry(building).is_some()
     }
 
     /// The error for an artifact that is not on disk. If it was loaded
@@ -712,32 +871,59 @@ fn parse_artifact(building: &str, path: &Path, text: &str) -> Result<FittedModel
 }
 
 /// Records one fetch on the request thread, after the lock: cache hits
-/// at trace, disk traffic at info, failures at warn — each event
-/// inherits the enclosing request/assign span.
-fn trace_fetch(building: &str, fetched: &Result<(Arc<FittedModel>, Fetch), ServeError>) {
+/// at trace, disk traffic at info (with the slot wait and the load's own
+/// read + hash + parse time), failures at warn — each event inherits the
+/// enclosing request/assign span.
+fn trace_fetch(building: &str, fetched: &Fetched, times: LoadTimes) {
     let (level, name, key, value) = match fetched {
         Ok((_, Fetch::Hit)) => (Level::Trace, "load", "fetch", "hit"),
         Ok((_, Fetch::Miss)) => (Level::Info, "load", "fetch", "miss"),
         Ok((_, Fetch::Reload)) => (Level::Info, "load", "fetch", "reload"),
         Err(e) => (Level::Warn, "load_error", "kind", e.kind()),
     };
-    obs::event(level, "registry", name)
+    let mut event = obs::event(level, "registry", name)
         .str("building", building)
-        .str(key, value)
-        .emit();
+        .str(key, value);
+    if let Ok((_, Fetch::Miss | Fetch::Reload)) = fetched {
+        event = event
+            .num("load_ns", times.load_ns as f64)
+            .num("wait_ns", times.wait_ns as f64);
+    }
+    event.emit();
+}
+
+/// Nanoseconds since `since`, saturating.
+fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The FNV-1a offset basis: the starting state for [`fnv1a`].
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Folds `bytes` into a running FNV-1a hash (start from
-/// [`FNV_OFFSET`]). The artifact content hash and [`ScanKey`]'s reading
-/// hash both go through here.
+/// [`FNV_OFFSET`]). [`ScanKey`]'s reading hash and the byte tail of
+/// [`content_hash`] go through here.
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
     bytes
         .iter()
-        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// The artifact content hash: FNV-1a over the bytes read as
+/// little-endian 8-byte words, then [`fnv1a`] over the tail. It only
+/// lives in memory, and one multiply per word instead of per byte keeps
+/// it off a cold load's critical path. Each step is a bijection of the
+/// running state, so any one changed word or tail byte changes it.
+fn content_hash(bytes: &[u8]) -> u64 {
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    let hash = words.fold(FNV_OFFSET, |h, word| {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
+        (h ^ word).wrapping_mul(FNV_PRIME)
+    });
+    fnv1a(hash, tail)
 }
 
 fn validate_building_id(building: &str) -> Result<(), ServeError> {
@@ -1175,5 +1361,113 @@ mod tests {
         assert_eq!(fetch, Fetch::Miss);
         assert_eq!(first.to_json_string(), second.to_json_string());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Makes `path` a FIFO: a load of it blocks in its read until the
+    /// test writes the artifact bytes and closes the write end.
+    #[cfg(unix)]
+    fn mkfifo(path: &Path) {
+        let status = std::process::Command::new("mkfifo")
+            .arg(path)
+            .status()
+            .expect("run mkfifo");
+        assert!(status.success(), "mkfifo {}", path.display());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_load_in_flight_blocks_no_other_building_and_is_shared() {
+        use std::io::Write;
+        use std::sync::mpsc;
+        let dir = temp_dir("inflight");
+        quick_model("y", 15, 40).save(dir.join("y.json")).unwrap();
+        let staged = dir.join("x.staged");
+        quick_model("x", 15, 41).save(&staged).unwrap();
+        let artifact = std::fs::read(&staged).unwrap();
+        let fifo = dir.join("x.json");
+        mkfifo(&fifo);
+        let reg = &ModelRegistry::new(RegistryConfig::new(&dir));
+        reg.get("y").unwrap();
+        let misses = reg.stats().misses;
+        std::thread::scope(|s| {
+            let first = s.spawn(|| reg.get("x"));
+            // Opening the write end returns once the load has opened the
+            // read end: x's load now holds its slot, blocked in the read
+            // until the write end closes.
+            let mut writer = std::fs::OpenOptions::new().write(true).open(&fifo).unwrap();
+            // Another building's requests all return meanwhile. They run
+            // on their own thread, so a stall fails the test after the
+            // load is released instead of hanging it.
+            let (tx, rx) = mpsc::channel();
+            s.spawn(move || {
+                let fetch = reg.get("y").map(|(_, fetch)| fetch);
+                let resident = reg.snapshot().loaded.len();
+                let evicted = reg.evict("y");
+                tx.send((fetch, resident, evicted)).unwrap();
+            });
+            let others = rx.recv_timeout(std::time::Duration::from_secs(60));
+            // A second request for x queues on the slot: once it holds a
+            // clone (map + loader + waiter), let the load finish.
+            let second = s.spawn(|| reg.get("x"));
+            while reg.lock().slots.get("x").map_or(0, Arc::strong_count) < 3 {
+                std::thread::yield_now();
+            }
+            writer.write_all(&artifact).unwrap();
+            drop(writer);
+            let (a, fetch_a) = first.join().unwrap().unwrap();
+            let (b, fetch_b) = second.join().unwrap().unwrap();
+
+            let (fetch_y, resident, evicted) = others.expect("a request for y waited on x's load");
+            assert_eq!(fetch_y.unwrap(), Fetch::Hit);
+            assert_eq!(resident, 1, "only y was resident during x's load");
+            assert!(evicted);
+            assert_eq!((fetch_a, fetch_b), (Fetch::Miss, Fetch::Hit));
+            assert!(Arc::ptr_eq(&a, &b), "the waiter shares the one load");
+        });
+        assert_eq!(reg.stats().misses - misses, 1, "x was parsed once");
+        assert!(reg.lock().slots.is_empty(), "slots outlived their loads");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_corrupt_loads_fail_typed_and_free_the_slot() {
+        let dir = temp_dir("corrupt_pair");
+        let path = dir.join("bad.json");
+        std::fs::write(&path, "{\"schema\": \"nope\"").unwrap();
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        let barrier = std::sync::Barrier::new(2);
+        let kinds: Vec<&str> = std::thread::scope(|s| {
+            let requests: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        reg.get("bad").unwrap_err().kind()
+                    })
+                })
+                .collect();
+            requests.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(kinds, ["model", "model"]);
+        assert_eq!(reg.stats().load_failures, 2);
+        assert!(reg.lock().slots.is_empty(), "a failed load kept its slot");
+        // The slot is not wedged: the fixed artifact loads.
+        quick_model("bad", 15, 42).save(&path).unwrap();
+        let (model, fetch) = reg.get("bad").unwrap();
+        assert_eq!(fetch, Fetch::Miss);
+        assert_eq!(model.building(), "bad");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn content_hash_sees_one_byte_changes_in_a_word_and_in_the_tail() {
+        // Two 8-byte words and a 5-byte tail.
+        let bytes: Vec<u8> = (0u8..21).collect();
+        let base = content_hash(&bytes);
+        for i in [3, 18] {
+            let mut changed = bytes.clone();
+            changed[i] ^= 0x40;
+            assert_ne!(content_hash(&changed), base, "byte {i} changed");
+        }
+        assert_eq!(content_hash(&[]), FNV_OFFSET);
     }
 }

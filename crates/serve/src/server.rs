@@ -22,7 +22,7 @@
 //! lock — see [`crate::registry`]), and metrics sit behind their own
 //! mutex. The two locks are never held at once: `stats` and `metrics`
 //! take a [`ModelRegistry::snapshot`] first and lock the metrics after,
-//! so a `stats` request waiting behind a cold load never blocks other
+//! so a `stats` request waiting on the registry lock never blocks other
 //! requests' metrics recording, and the daemon cannot deadlock on
 //! itself.
 

@@ -254,13 +254,29 @@ fn journals_reconstruct_routed_requests_and_answers_stay_bit_identical() {
             .any(|e| field(e, "component") == Some("registry") && field(e, "trace") == Some(trace));
         assert!(registry_hop, "no registry event joined trace {trace}");
     }
-    // The reload inside an answer-cached assign leaves its `load` event.
-    let misses = find(&events, "registry", "load")
+    // The reload inside an answer-cached assign leaves its `load` event,
+    // timed: its own read + hash + parse, and its wait on the slot.
+    let misses: Vec<&Json> = find(&events, "registry", "load")
         .into_iter()
         .filter(|e| field(e, "building") == Some(building.name()))
         .filter(|e| field(e, "fetch") == Some("miss"))
-        .count();
-    assert_eq!(misses, 1, "one registry load miss in the journaled leg");
+        .collect();
+    assert_eq!(
+        misses.len(),
+        1,
+        "one registry load miss in the journaled leg"
+    );
+    let nanos = |key: &str| misses[0].get(key).and_then(Json::as_f64);
+    assert!(
+        nanos("load_ns").is_some_and(|ns| ns > 0.0),
+        "miss without a load time: {}",
+        misses[0]
+    );
+    assert!(
+        nanos("wait_ns").is_some_and(|ns| ns >= 0.0),
+        "miss without a slot wait: {}",
+        misses[0]
+    );
 
     // The summarizer digests the same journal into per-stage rows.
     let stages = obs::summarize(&serve_journal);
