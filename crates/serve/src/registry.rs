@@ -21,8 +21,8 @@
 //!   byte length identical (possible within the filesystem's mtime
 //!   granularity) is invisible to the stat fingerprint — the classic
 //!   stat-cache race. Each entry therefore keeps a content hash of its
-//!   artifact bytes (FNV-1a over little-endian 8-byte words, see
-//!   [`content_hash`]): while the artifact's mtime is close enough to the
+//!   artifact bytes (FNV-1a over little-endian 8-byte words, in memory
+//!   only): while the artifact's mtime is close enough to the
 //!   last verification that a same-fingerprint rewrite is possible
 //!   (within [`MTIME_GRANULARITY`]), a fingerprint "hit" re-reads the
 //!   file and compares hashes, reloading on mismatch. Once the mtime is
@@ -58,8 +58,9 @@
 //! the entry the load it waited on installed. The read, content hash
 //! and parse run with no registry lock held, so requests for the same
 //! building share one load and requests for other buildings never wait
-//! on it. Slots exist only for artifacts that were on disk, and a slot
-//! goes with its entry (or its failed load) once no request holds it.
+//! on it. A slot is made only once its artifact's stat succeeded, and
+//! goes as soon as no request holds or waits on it, so the slot map
+//! holds only the buildings with a request in flight.
 //!
 //! Inference ([`FittedModel::assign_stream`]) always runs outside the
 //! lock, and so do the `registry` trace events. An assignment is a pure
