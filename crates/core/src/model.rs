@@ -685,9 +685,9 @@ impl FittedModel {
     /// Writes the artifact to `path` (the JSON line plus a trailing
     /// newline) **atomically**: the bytes go to a sibling temp file
     /// first and are renamed into place, so a reader — in particular
-    /// the `fis-serve` registry, which hot-reloads on `(mtime, len)`
-    /// change — can never observe a half-written artifact when a model
-    /// is refitted over a live serving directory.
+    /// the `fis-serve` registry, which reads the artifact on a miss or
+    /// an explicit `swap` — can never observe a half-written artifact
+    /// when a model is refitted over a live serving directory.
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 //! Typed serving errors, wire-serializable.
 //!
 //! Every failure the daemon can hit — a malformed frame, an unknown
-//! building, a corrupt or vanished artifact, a failed inference, an
+//! building, a corrupt or unreadable artifact, a failed inference, an
 //! oversized batch — maps onto one [`ServeError`] variant, which in turn
 //! maps onto one stable `kind` string on the wire. The daemon **never**
 //! crashes on bad input; it answers with one of these.
@@ -18,8 +18,8 @@ pub enum ServeError {
     Protocol(String),
     /// No artifact exists for the requested building id.
     UnknownBuilding(String),
-    /// The artifact failed to load or validate (corrupt JSON, schema
-    /// mismatch, deleted between load and request, id mismatch).
+    /// The artifact failed to load or validate (unreadable file,
+    /// corrupt JSON, schema mismatch, id mismatch).
     Model(String),
     /// Per-scan inference failed (e.g. no MAC known to the model).
     Inference(String),

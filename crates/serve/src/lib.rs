@@ -5,15 +5,18 @@
 //! (`fis-one assign`), but every `assign` invocation still pays full
 //! process startup and loads one model. This crate turns that split into
 //! a long-running daemon: load artifacts lazily from a model directory,
-//! cache them under an LRU budget, hot-reload on change, and answer a
-//! newline-delimited JSON protocol over stdin/stdout or TCP.
+//! cache them under an LRU budget, put a republished artifact live on an
+//! explicit `swap`, and answer a newline-delimited JSON protocol over
+//! stdin/stdout or TCP. A resident model keeps serving until `swap`,
+//! `evict`, or an LRU eviction; rewriting or deleting its artifact does
+//! nothing on its own.
 //!
 //! ```text
 //! ┌────────────┐  NDJSON   ┌──────────────────────────────┐
 //! │   client    │ ───────▶ │ Daemon                        │
 //! │ (pipe/TCP)  │ ◀─────── │  ├─ ModelRegistry (one lock:  │
-//! └────────────┘           │  │   LRU, hot reload, answer  │
-//!                          │  │   cache)                   │
+//! └────────────┘           │  │   LRU, explicit swap,      │
+//!                          │  │   answer cache)            │
 //!                          │  ├─ ServingMetrics (p50/p99)  │
 //!                          │  └─ assign fan-out            │
 //!                          │     (fis-parallel)            │
@@ -28,7 +31,7 @@
 //! the v2 envelope (`"v": 2`) — the mutation ops `extend` and `swap`.
 //! Frames without a `"v"` key speak v1 and are answered byte-for-byte
 //! as before versioning existed. Every failure —
-//! malformed frame, unknown building, corrupt or vanished artifact,
+//! malformed frame, unknown building, corrupt artifact,
 //! failed inference, oversized batch — is a typed error response
 //! (`{"ok":false,"error":{"kind":...,"message":...}}`); the daemon never
 //! crashes on input.

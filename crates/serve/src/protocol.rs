@@ -74,7 +74,8 @@ pub enum Request {
         /// The scans to label, order preserved in the response.
         scans: Vec<SignalSample>,
     },
-    /// Eagerly load (or hot-reload) a building's artifact.
+    /// Eagerly load a building's artifact (a hit if it is resident; a
+    /// resident model is never reread, so only `swap` reloads).
     Load {
         /// Registry key to load.
         building: String,
@@ -92,8 +93,9 @@ pub enum Request {
         /// The reference scans to append (self-labeled by the model).
         scans: Vec<SignalSample>,
     },
-    /// Force the next artifact generation live now: drop the cached
-    /// model (and its answer cache) and reload from disk (v2).
+    /// Put the artifact now on disk live: read it and replace the
+    /// resident model (and its answer cache) (v2). The only way a
+    /// rewritten artifact reaches a resident building.
     Swap {
         /// Registry key to swap.
         building: String,
@@ -415,7 +417,7 @@ pub enum Response {
         floors: usize,
         /// Reference scans in the model.
         scans: usize,
-        /// `"hit"`, `"miss"`, or `"reload"`.
+        /// `"hit"` or `"miss"`.
         fetch: &'static str,
     },
     /// A cache eviction.
@@ -441,7 +443,7 @@ pub enum Response {
         /// MACs in the model after extension.
         total_macs: usize,
     },
-    /// A hot swap (v2): the freshly (re)loaded artifact's shape.
+    /// A hot swap (v2): the freshly loaded artifact's shape.
     Swap {
         /// The building swapped.
         building: String,
@@ -449,7 +451,7 @@ pub enum Response {
         floors: usize,
         /// Reference scans in the now-live model (including extension).
         scans: usize,
-        /// Whether a cached generation was dropped to make way.
+        /// Whether a resident generation was replaced.
         evicted: bool,
     },
     /// The metrics payload.

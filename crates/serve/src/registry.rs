@@ -1,4 +1,4 @@
-//! Multi-tenant model registry: lazy load, LRU eviction, hot reload.
+//! Multi-tenant model registry: lazy load, LRU eviction, explicit swap.
 //!
 //! The registry maps building ids onto [`FittedModel`]s backed by a
 //! model directory: the artifact for building `hq` lives at
@@ -7,37 +7,20 @@
 //!
 //! - **LRU eviction** — when loading a model would exceed
 //!   [`RegistryConfig::max_models`] or [`RegistryConfig::max_bytes`]
-//!   (artifact bytes on disk as the memory proxy), the least recently
+//!   (the artifact bytes read as the memory proxy), the least recently
 //!   used other model is dropped first. The model being served is never
 //!   evicted to make room for itself.
-//! - **Hot reload** — every access re-stats the artifact; if its
-//!   `(mtime, len)` changed since load, the model is reloaded before
-//!   serving. Swapping a new artifact into the directory takes effect on
-//!   the next request, no restart. [`FittedModel::save`] writes
-//!   atomically (temp file + rename), so refitting over a live serving
-//!   directory never exposes a half-written artifact; other writers
-//!   should do the same.
-//! - **Racy-clean verification** — a rewrite that keeps both mtime and
-//!   byte length identical (possible within the filesystem's mtime
-//!   granularity) is invisible to the stat fingerprint — the classic
-//!   stat-cache race. Each entry therefore keeps a content hash of its
-//!   artifact bytes (FNV-1a over little-endian 8-byte words, in memory
-//!   only): while the artifact's mtime is close enough to the
-//!   last verification that a same-fingerprint rewrite is possible
-//!   (within [`MTIME_GRANULARITY`]), a fingerprint "hit" re-reads the
-//!   file and compares hashes, reloading on mismatch. Once the mtime is
-//!   safely older than a verification, hits go back to stat-only — the
-//!   hash check self-retires, so steady-state serving never re-reads.
-//!   An entry records the fingerprint stat'd *before* its read and a
-//!   verification time taken before the read too, so a rewrite that
-//!   lands while a load is in flight is caught on the next request, by
-//!   the fingerprint or by the racy-window hash check.
-//!   Conversely, a fingerprint *change* with an unchanged hash (e.g. a
-//!   `touch`) just refreshes the fingerprint instead of reloading, so
-//!   answer caches survive metadata-only rewrites.
-//! - **Deletion detection** — if the artifact vanished after load, the
-//!   cached model is dropped and the request fails with a typed `model`
-//!   error rather than serving from a file that no longer exists.
+//! - **Explicit publish** — the registry reads the model directory only
+//!   on a miss (first load, or after an eviction) and on
+//!   [`ModelRegistry::swap`]; a hit never touches disk. A resident model
+//!   therefore keeps serving until `swap`, [`ModelRegistry::evict`] or
+//!   an LRU eviction: rewriting or deleting its artifact does nothing on
+//!   its own. To publish a refit, write the artifact
+//!   ([`FittedModel::save`] writes atomically, temp file + rename, so no
+//!   read ever sees half an artifact; other writers should do the same),
+//!   then swap it in. A swap reads, parses and replaces the entry
+//!   unconditionally; a failed read or parse drops the entry and returns
+//!   the typed error.
 //!
 //! Eviction history cannot change responses: artifacts load
 //! byte-identically and [`FittedModel::assign`] is deterministic in
@@ -49,18 +32,18 @@
 //!
 //! [`ModelRegistry`] is shared by reference across connections: every
 //! method takes `&self`, and the state sits behind one private mutex
-//! held only for *bookkeeping* — the fingerprint check, installing an
-//! entry, the budget, answer-cache lookups and stores. A request stats
-//! its artifact before taking the lock; a fresh fingerprint is a hit in
-//! one short lock hold. Anything else takes the building's *load slot*,
-//! a per-building mutex held outside the registry lock, and checks the
-//! entry again, because a request that waited on the slot usually finds
-//! the entry the load it waited on installed. The read, content hash
-//! and parse run with no registry lock held, so requests for the same
-//! building share one load and requests for other buildings never wait
-//! on it. A slot is made only once its artifact's stat succeeded, and
-//! goes as soon as no request holds or waits on it, so the slot map
-//! holds only the buildings with a request in flight.
+//! held only for *bookkeeping* — the entry lookup, installing an entry,
+//! the budget, answer-cache lookups and stores. A hit is one short lock
+//! hold. A miss takes the building's *load slot*, a per-building mutex
+//! held outside the registry lock, and checks the entry again, because
+//! a request that waited on the slot usually finds the entry the load
+//! it waited on installed. The read and parse run with no registry lock
+//! held, so requests for the same building share one load and requests
+//! for other buildings never wait on it. A swap holds the same slot, so
+//! a load that read the old bytes before the swap installs before it
+//! and is replaced by it. A slot goes as soon as no request holds or
+//! waits on it, so the slot map holds only the buildings with a load or
+//! swap in flight.
 //!
 //! Inference ([`FittedModel::assign_stream`]) always runs outside the
 //! lock, and so do the `registry` trace events. An assignment is a pure
@@ -82,13 +65,13 @@
 //!   that collide on the 64-bit hash can never alias each other's
 //!   answers.
 //! - **Per-entry lifetime** — the cache lives inside the registry
-//!   `Entry` next to its model, so eviction, hot reload, and deletion
-//!   detection drop it automatically: a cached answer can never outlive
-//!   the exact artifact generation that produced it.
+//!   `Entry` next to its model, so eviction and swap drop it
+//!   automatically: a cached answer can never outlive the exact artifact
+//!   generation that produced it.
 //! - **Same-generation stores** — answers are computed outside the lock
 //!   and stored only if the entry still holds the very `Arc` that
 //!   produced them; an answer from a generation that was evicted or
-//!   reloaded in the meantime is dropped.
+//!   swapped out in the meantime is dropped.
 //! - **Bounded FIFO** — at most `assign_cache` answers per model,
 //!   oldest-inserted dropped first (deterministic, no clock). Only
 //!   successful answers are cached; errors are recomputed (and are
@@ -102,7 +85,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Instant, SystemTime};
+use std::time::Instant;
 
 use fis_core::{FisError, FittedModel};
 use fis_metrics::CacheCounters;
@@ -267,13 +250,15 @@ impl AssignCache {
 pub struct RegistryStats {
     /// Requests served from the cache.
     pub hits: u64,
-    /// Requests that had to load from disk.
+    /// Requests, and swaps of a building with no resident entry, that
+    /// had to load from disk.
     pub misses: u64,
     /// Models dropped by the LRU budget or an explicit `evict`.
     pub evictions: u64,
-    /// Models reloaded because the artifact changed on disk.
+    /// Swaps that replaced a resident entry.
     pub reloads: u64,
-    /// Loads that failed (missing, corrupt, or mismatched artifacts).
+    /// Loads and swaps that failed on an artifact that exists but could
+    /// not be read, or is corrupt or mismatched.
     pub load_failures: u64,
     /// Assign answer-cache counters, summed across all tenants.
     pub assign_cache: CacheCounters,
@@ -300,38 +285,15 @@ impl RegistrySnapshot {
     }
 }
 
-/// The coarsest artifact-mtime granularity the registry defends
-/// against: a rewrite within this window of the last content
-/// verification can leave the `(mtime, len)` fingerprint unchanged, so
-/// fingerprint hits inside the window are re-verified by content hash.
-pub const MTIME_GRANULARITY: std::time::Duration = std::time::Duration::from_secs(2);
-
 #[derive(Debug)]
 struct Entry {
     model: Arc<FittedModel>,
-    /// Artifact size on disk: the byte-budget proxy, and — together
-    /// with `mtime` — the change-detection fingerprint. Both are stat'd
-    /// *before* the read that produced `model`, so a rewrite that lands
-    /// during the load leaves a fingerprint the next request sees as
-    /// changed or still inside the racy window.
+    /// Length of the artifact text `model` was parsed from: the
+    /// byte-budget proxy.
     bytes: u64,
-    mtime: Option<SystemTime>,
-    /// [`content_hash`] of the artifact bytes as loaded: the ground
-    /// truth the fingerprint is only a proxy for.
-    content_hash: u64,
-    /// When the read that last proved the cached model matches the file
-    /// content began (load, reload, or an explicit hash check); taken
-    /// before that read. A fingerprint hit is trusted without re-reading
-    /// only once the artifact's mtime is at least [`MTIME_GRANULARITY`]
-    /// older than this.
-    verified_at: SystemTime,
-    /// Registry tick of the lock hold that installed or last re-verified
-    /// the entry. A request that arrived at an earlier tick with the same
-    /// fingerprint was concurrent with that read, and shares its result.
-    verified_tick: u64,
     last_used: u64,
     /// Answers for exactly this model generation; dropped with the
-    /// entry on evict/reload, so invalidation is structural.
+    /// entry on evict/swap, so invalidation is structural.
     cache: AssignCache,
 }
 
@@ -342,15 +304,8 @@ pub enum Fetch {
     Hit,
     /// Loaded from disk for the first time (or after an eviction).
     Miss,
-    /// Reloaded because the artifact changed on disk.
+    /// Replaced a resident entry on [`ModelRegistry::swap`].
     Reload,
-}
-
-/// An artifact's stat fingerprint.
-#[derive(Debug, Clone, Copy)]
-struct Stat {
-    mtime: Option<SystemTime>,
-    bytes: u64,
 }
 
 /// Where a fetch that took the load slot spent its time: the fields of
@@ -359,11 +314,11 @@ struct Stat {
 struct LoadTimes {
     /// Waiting on the building's load slot.
     wait_ns: u64,
-    /// This request's own read, content hash and parse.
+    /// This request's own read and parse.
     load_ns: u64,
 }
 
-/// What [`ModelRegistry::get`] returns.
+/// What [`ModelRegistry::get`] and [`ModelRegistry::swap`] return.
 type Fetched = Result<(Arc<FittedModel>, Fetch), ServeError>;
 
 /// Everything behind the registry lock.
@@ -371,7 +326,7 @@ type Fetched = Result<(Arc<FittedModel>, Fetch), ServeError>;
 pub(crate) struct State {
     entries: HashMap<String, Entry>,
     /// Single-flight load slots of the buildings some request is loading
-    /// or verifying. Clones are taken and dropped only under the registry
+    /// or swapping. Clones are taken and dropped only under the registry
     /// lock, so a slot whose strong count is 1 is held by no request, and
     /// the last request to let go of it removes it.
     slots: HashMap<String, Arc<Mutex<()>>>,
@@ -379,7 +334,7 @@ pub(crate) struct State {
     stats: RegistryStats,
 }
 
-/// The lazy, budgeted, hot-reloading, thread-safe model cache. See the
+/// The lazy, budgeted, thread-safe model cache. See the
 /// [module docs](self).
 #[derive(Debug)]
 pub struct ModelRegistry {
@@ -429,21 +384,33 @@ impl ModelRegistry {
         self.config.dir.join(format!("{building}.json"))
     }
 
-    /// Fetches the model for `building`, loading/reloading as needed.
-    /// Returns the model and whether this was a hit, miss, or reload.
+    /// Fetches the model for `building`: the resident entry if there is
+    /// one, else a load from disk. Returns the model and whether this
+    /// was a hit or a miss. A hit makes no filesystem call.
     ///
     /// # Errors
     ///
     /// - [`ServeError::Protocol`] for ids that cannot name an artifact
     ///   (path separators, `.` / `..`),
     /// - [`ServeError::UnknownBuilding`] when no artifact exists,
-    /// - [`ServeError::Model`] when the artifact vanished after load, is
+    /// - [`ServeError::Model`] when the artifact cannot be read, is
     ///   corrupt, or was fitted for a different building id.
     pub fn get(&self, building: &str) -> Result<(Arc<FittedModel>, Fetch), ServeError> {
-        let mut times = LoadTimes::default();
-        let fetched = self.fetch(building, &mut times);
-        trace_fetch(building, &fetched, times);
-        fetched
+        self.traced(building, false)
+    }
+
+    /// Publishes the artifact now on disk: reads and parses it, then
+    /// replaces the resident entry (answer cache included)
+    /// unconditionally. Returns [`Fetch::Reload`] when an entry was
+    /// resident and [`Fetch::Miss`] when none was. A failed read or
+    /// parse drops the entry. Runs under the building's load slot, so a
+    /// load that read older bytes installs before the swap, never after.
+    ///
+    /// # Errors
+    ///
+    /// The [`ModelRegistry::get`] errors.
+    pub fn swap(&self, building: &str) -> Result<(Arc<FittedModel>, Fetch), ServeError> {
+        self.traced(building, true)
     }
 
     /// Labels a batch, preserving [`FittedModel::assign_stream`]
@@ -536,7 +503,7 @@ impl ModelRegistry {
     }
 
     /// Drops a cached model; returns whether it was cached. The artifact
-    /// stays on disk and the next request reloads it.
+    /// stays on disk and the next request loads it.
     pub fn evict(&self, building: &str) -> bool {
         // Freeing the model is not bookkeeping: it happens after the
         // registry lock is released.
@@ -556,128 +523,76 @@ impl ModelRegistry {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The body of [`ModelRegistry::get`], without trace events. Stats
-    /// the artifact before taking the lock; a fresh fingerprint is a hit
-    /// in one lock hold, and anything else runs [`Self::load`] under the
+    /// [`Self::fetch`] with its `registry` trace event.
+    fn traced(&self, building: &str, swap: bool) -> Fetched {
+        let mut times = LoadTimes::default();
+        let fetched = self.fetch(building, swap, &mut times);
+        trace_fetch(building, &fetched, times);
+        fetched
+    }
+
+    /// The body of [`ModelRegistry::get`] (`swap` false) and
+    /// [`ModelRegistry::swap`]. A get of a resident building is a hit in
+    /// one lock hold; anything else runs [`Self::load`] under the
     /// building's load slot.
-    fn fetch(&self, building: &str, times: &mut LoadTimes) -> Fetched {
+    fn fetch(&self, building: &str, swap: bool, times: &mut LoadTimes) -> Fetched {
         validate_building_id(building)?;
-        let path = self.artifact_path(building);
-        let stat = match std::fs::metadata(&path) {
-            Ok(meta) => Stat {
-                mtime: meta.modified().ok(),
-                bytes: meta.len(),
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(self.lock().missing_artifact(building, &path))
-            }
-            Err(e) => {
-                return Err(ServeError::Model(format!(
-                    "stat {} failed: {e}",
-                    path.display()
-                )))
-            }
-        };
-        let (arrival, slot) = {
+        let slot = {
             let mut state = self.lock();
-            state.tick += 1;
-            let arrival = state.tick;
-            if let Some(hit) = state.hit(building, stat, arrival) {
-                return Ok(hit);
+            if !swap {
+                if let Some(hit) = state.hit(building) {
+                    return Ok(hit);
+                }
             }
-            let slot = state.slots.entry(building.to_owned()).or_default();
-            (arrival, Arc::clone(slot))
+            Arc::clone(state.slots.entry(building.to_owned()).or_default())
         };
         let waiting = Instant::now();
         // Recovered on poison like the registry lock: the slot guards no
         // data, only who loads next.
         let flight = slot.lock().unwrap_or_else(PoisonError::into_inner);
         times.wait_ns = elapsed_ns(waiting);
-        let (fetched, mut state) = self.load(building, &path, stat, arrival, times);
+        let (fetched, mut state) = self.load(building, swap, times);
         drop(flight);
         state.release_slot(building, slot);
         fetched
     }
 
-    /// The slow path, run holding `building`'s load slot: check the
-    /// entry again, then read, hash and — unless the content is the
-    /// cached generation's — parse with no registry lock held. Returns
-    /// with the registry lock of its last bookkeeping step still held,
-    /// so the caller lets go of the slot under it.
+    /// The slow path, run holding `building`'s load slot: unless this is
+    /// a swap, check the entry again; then read and parse with no
+    /// registry lock held, and install. Returns with the registry lock
+    /// of its last bookkeeping step still held, so the caller lets go of
+    /// the slot under it.
     fn load(
         &self,
         building: &str,
-        path: &Path,
-        stat: Stat,
-        arrival: u64,
+        swap: bool,
         times: &mut LoadTimes,
     ) -> (Fetched, MutexGuard<'_, State>) {
-        // A request that waited on the slot usually finds the entry the
-        // load it waited on installed.
-        let known = {
+        if !swap {
+            // A request that waited on the slot usually finds the entry
+            // the load it waited on installed.
             let mut state = self.lock();
-            state.tick += 1;
-            if let Some(hit) = state.hit(building, stat, arrival) {
+            if let Some(hit) = state.hit(building) {
                 return (Ok(hit), state);
             }
-            state
-                .entries
-                .get(building)
-                .map(|e| (Arc::clone(&e.model), e.content_hash))
-        };
-
-        // Anything else needs the file content: first load, changed
-        // fingerprint, or a fingerprint hit still inside the racy
-        // window. One read serves both the hash check and the parse.
-        let started = Instant::now();
-        let verified_at = SystemTime::now();
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                let mut state = self.lock();
-                // Vanished between stat and read: same handling as a
-                // missing artifact at stat time.
-                let err = if e.kind() == std::io::ErrorKind::NotFound {
-                    state.missing_artifact(building, path)
-                } else {
-                    ServeError::Model(format!("read {} failed: {e}", path.display()))
-                };
-                return (Err(err), state);
-            }
-        };
-        let content_hash = content_hash(text.as_bytes());
-        if let Some((model, _)) = known.filter(|&(_, hash)| hash == content_hash) {
-            // Content unchanged — either a racy-window verification or a
-            // metadata-only rewrite (e.g. touch). Refresh the fingerprint
-            // and keep the model and its answer cache; if the entry was
-            // evicted during the read, load it afresh below.
-            let mut state = self.lock();
-            if state.refresh(building, &model, stat, verified_at) {
-                return (Ok((model, Fetch::Hit)), state);
-            }
         }
-
-        // Cache miss, or the artifact content really changed (hot
-        // reload — including a same-fingerprint rewrite the stat cache
-        // alone would have missed).
-        let parsed = parse_artifact(building, path, &text).map(Arc::new);
-        // Freed here, not under the lock taken next.
-        drop(text);
+        let started = Instant::now();
+        let read = self.read_artifact(building);
         times.load_ns = elapsed_ns(started);
         let mut state = self.lock();
-        let model = match parsed {
-            Ok(model) => model,
+        let (model, bytes) = match read {
+            Ok(read) => read,
             Err(e) => {
-                // A failed reload drops the stale entry — serving the old
-                // model after the artifact was replaced would silently
-                // violate the hot-reload contract.
-                state.stats.load_failures += 1;
-                state.drop_entry(building);
+                if !matches!(e, ServeError::UnknownBuilding(_)) {
+                    state.stats.load_failures += 1;
+                }
+                // A failed swap must not leave the replaced generation
+                // serving.
+                state.take_entry(building);
                 return (Err(e), state);
             }
         };
         state.tick += 1;
-        let tick = state.tick;
         let fetch = if state.entries.contains_key(building) {
             state.stats.reloads += 1;
             Fetch::Reload
@@ -685,79 +600,45 @@ impl ModelRegistry {
             state.stats.misses += 1;
             Fetch::Miss
         };
-        state.entries.insert(
-            building.to_owned(),
-            Entry {
-                model: Arc::clone(&model),
-                bytes: stat.bytes,
-                mtime: stat.mtime,
-                content_hash,
-                verified_at,
-                verified_tick: tick,
-                last_used: tick,
-                cache: AssignCache::new(self.config.assign_cache),
-            },
-        );
+        let entry = Entry {
+            model: Arc::clone(&model),
+            bytes,
+            last_used: state.tick,
+            cache: AssignCache::new(self.config.assign_cache),
+        };
+        state.entries.insert(building.to_owned(), entry);
         state.enforce_budget(&self.config, building);
         (Ok((model, fetch)), state)
+    }
+
+    /// Reads and parses `building`'s artifact, returning the model and
+    /// the length of its text. The text is freed here, before the
+    /// caller takes the registry lock.
+    fn read_artifact(&self, building: &str) -> Result<(Arc<FittedModel>, u64), ServeError> {
+        let path = self.artifact_path(building);
+        let text = std::fs::read_to_string(&path).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::NotFound {
+                ServeError::UnknownBuilding(format!(
+                    "no artifact for `{building}` (expected {})",
+                    path.display()
+                ))
+            } else {
+                ServeError::Model(format!("read {} failed: {e}", path.display()))
+            }
+        })?;
+        let model = parse_artifact(building, &path, &text)?;
+        Ok((Arc::new(model), text.len() as u64))
     }
 }
 
 impl State {
-    /// A hit on `building`'s entry for a request that took `stat` and
-    /// arrived at tick `arrival`: the fingerprint matches, and either
-    /// the entry was installed or re-verified after the request arrived
-    /// (the request was concurrent with that read), or the artifact's
-    /// mtime is old enough that a same-fingerprint rewrite since the
-    /// last verification is impossible.
-    fn hit(
-        &mut self,
-        building: &str,
-        stat: Stat,
-        arrival: u64,
-    ) -> Option<(Arc<FittedModel>, Fetch)> {
+    /// A hit on `building`'s resident entry, if there is one.
+    fn hit(&mut self, building: &str) -> Option<(Arc<FittedModel>, Fetch)> {
         let entry = self.entries.get_mut(building)?;
-        let fresh = entry.mtime == stat.mtime
-            && entry.bytes == stat.bytes
-            && (entry.verified_tick > arrival
-                // No readable mtime: the fingerprint is length alone,
-                // too weak to ever trust without a hash check.
-                || stat
-                    .mtime
-                    .and_then(|m| m.checked_add(MTIME_GRANULARITY))
-                    .is_some_and(|edge| edge < entry.verified_at));
-        if !fresh {
-            return None;
-        }
+        self.tick += 1;
         entry.last_used = self.tick;
         self.stats.hits += 1;
         Some((Arc::clone(&entry.model), Fetch::Hit))
-    }
-
-    /// Records a read of unchanged content on `building`'s entry, if it
-    /// still holds `model`; returns whether it did.
-    fn refresh(
-        &mut self,
-        building: &str,
-        model: &Arc<FittedModel>,
-        stat: Stat,
-        verified_at: SystemTime,
-    ) -> bool {
-        self.tick += 1;
-        let Some(entry) = self
-            .entries
-            .get_mut(building)
-            .filter(|e| Arc::ptr_eq(&e.model, model))
-        else {
-            return false;
-        };
-        entry.mtime = stat.mtime;
-        entry.bytes = stat.bytes;
-        entry.verified_at = verified_at;
-        entry.verified_tick = self.tick;
-        entry.last_used = self.tick;
-        self.stats.hits += 1;
-        true
     }
 
     /// Lets go of a request's clone of `building`'s load slot, removing
@@ -782,35 +663,12 @@ impl State {
         taken
     }
 
-    /// Drops a cached model, counting the eviction; returns whether it
-    /// was cached.
-    fn drop_entry(&mut self, building: &str) -> bool {
-        self.take_entry(building).is_some()
-    }
-
-    /// The error for an artifact that is not on disk. If it was loaded
-    /// earlier, the entry is dropped and the request fails loudly
-    /// instead of serving a model whose backing file is gone.
-    fn missing_artifact(&mut self, building: &str, path: &Path) -> ServeError {
-        if self.drop_entry(building) {
-            ServeError::Model(format!(
-                "artifact {} was deleted after load; evicted `{building}`",
-                path.display()
-            ))
-        } else {
-            ServeError::UnknownBuilding(format!(
-                "no artifact for `{building}` (expected {})",
-                path.display()
-            ))
-        }
-    }
-
     /// Stores an answer that was computed *outside* the registry lock —
     /// but only if the cached entry still holds exactly the model that
-    /// produced it. If the entry was evicted or hot-reloaded in the
+    /// produced it. If the entry was evicted or swapped out in the
     /// meantime, the answer is silently dropped: caching it against a
     /// different model generation could serve a stale floor after the
-    /// artifact changed.
+    /// swap.
     fn store_answer(
         &mut self,
         building: &str,
@@ -845,7 +703,7 @@ impl State {
                 .map(|(k, _)| k.clone());
             match victim {
                 Some(k) => {
-                    self.drop_entry(&k);
+                    self.take_entry(&k);
                 }
                 // Only the active model is left; keep serving it even if
                 // it alone exceeds the byte budget.
@@ -855,9 +713,8 @@ impl State {
     }
 }
 
-/// Parses an artifact from its already-read text (the caller reads the
-/// file once for both hashing and parsing) and validates the building-id
-/// pairing.
+/// Parses an artifact from its already-read text and validates the
+/// building-id pairing.
 fn parse_artifact(building: &str, path: &Path, text: &str) -> Result<FittedModel, ServeError> {
     let model = FittedModel::from_json_str(text.trim_end_matches('\n'))?;
     if model.building() != building {
@@ -873,7 +730,7 @@ fn parse_artifact(building: &str, path: &Path, text: &str) -> Result<FittedModel
 
 /// Records one fetch on the request thread, after the lock: cache hits
 /// at trace, disk traffic at info (with the slot wait and the load's own
-/// read + hash + parse time), failures at warn — each event inherits the
+/// read + parse time), failures at warn — each event inherits the
 /// enclosing request/assign span.
 fn trace_fetch(building: &str, fetched: &Fetched, times: LoadTimes) {
     let (level, name, key, value) = match fetched {
@@ -904,27 +761,11 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Folds `bytes` into a running FNV-1a hash (start from
-/// [`FNV_OFFSET`]). [`ScanKey`]'s reading hash and the byte tail of
-/// [`content_hash`] go through here.
+/// [`FNV_OFFSET`]). [`ScanKey`]'s reading hash goes through here.
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
-
-/// The artifact content hash: FNV-1a over the bytes read as
-/// little-endian 8-byte words, then [`fnv1a`] over the tail. It only
-/// lives in memory, and one multiply per word instead of per byte keeps
-/// it off a cold load's critical path. Each step is a bijection of the
-/// running state, so any one changed word or tail byte changes it.
-fn content_hash(bytes: &[u8]) -> u64 {
-    let words = bytes.chunks_exact(8);
-    let tail = words.remainder();
-    let hash = words.fold(FNV_OFFSET, |h, word| {
-        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
-        (h ^ word).wrapping_mul(FNV_PRIME)
-    });
-    fnv1a(hash, tail)
 }
 
 fn validate_building_id(building: &str) -> Result<(), ServeError> {
@@ -997,11 +838,16 @@ mod tests {
     }
 
     #[test]
-    fn unknown_building_is_typed() {
+    fn unknown_building_is_typed_and_frees_its_slot() {
         let dir = temp_dir("unknown");
         let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let err = reg.get("ghost").unwrap_err();
         assert_eq!(err.kind(), "unknown_building");
+        assert!(
+            reg.lock().slots.is_empty(),
+            "a missing artifact kept its slot"
+        );
+        assert_eq!(reg.stats().load_failures, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1039,19 +885,22 @@ mod tests {
     }
 
     #[test]
-    fn deleted_artifact_evicts_and_errors() {
+    fn deleted_artifact_serves_until_swap_then_is_unknown() {
         let dir = temp_dir("deleted");
         let path = dir.join("gone.json");
         quick_model("gone", 15, 3).save(&path).unwrap();
         let reg = ModelRegistry::new(RegistryConfig::new(&dir));
-        reg.get("gone").unwrap();
+        let (model, _) = reg.get("gone").unwrap();
         std::fs::remove_file(&path).unwrap();
-        let err = reg.get("gone").unwrap_err();
-        assert_eq!(err.kind(), "model");
-        assert!(err.message().contains("deleted"));
+        // Deleting the artifact does nothing on its own.
+        let (resident, fetch) = reg.get("gone").unwrap();
+        assert_eq!(fetch, Fetch::Hit);
+        assert!(Arc::ptr_eq(&model, &resident));
+        // A swap finds no artifact: it fails typed and drops the entry.
+        assert_eq!(reg.swap("gone").unwrap_err().kind(), "unknown_building");
         assert_eq!(reg.snapshot().loaded.len(), 0);
-        // A later request (still missing) is a plain unknown building.
         assert_eq!(reg.get("gone").unwrap_err().kind(), "unknown_building");
+        assert!(reg.lock().slots.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1092,81 +941,41 @@ mod tests {
     }
 
     #[test]
-    fn hot_reload_on_artifact_change() {
+    fn rewritten_artifact_serves_only_after_swap() {
         let dir = temp_dir("reload");
         let path = dir.join("hot.json");
         quick_model("hot", 15, 8).save(&path).unwrap();
         let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let (old, _) = reg.get("hot").unwrap();
-        // Replace with a differently sized artifact (more scans), so the
-        // (mtime, len) check trips even on coarse-mtime filesystems.
         quick_model("hot", 20, 9).save(&path).unwrap();
-        let (new, fetch) = reg.get("hot").unwrap();
+        let (still, fetch) = reg.get("hot").unwrap();
+        assert_eq!(fetch, Fetch::Hit, "a rewrite alone must not reload");
+        assert!(Arc::ptr_eq(&old, &still));
+        let (new, fetch) = reg.swap("hot").unwrap();
         assert_eq!(fetch, Fetch::Reload);
         assert_eq!(reg.stats().reloads, 1);
-        assert_ne!(old.samples().len(), new.samples().len());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn same_length_same_mtime_rewrite_is_caught_by_content_hash() {
-        let dir = temp_dir("racy");
-        let path = dir.join("racy.json");
-        quick_model("racy", 15, 30).save(&path).unwrap();
-        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
-        reg.get("racy").unwrap();
-        let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
-        // Rewrite with identical byte length, then pin the mtime back to
-        // the original — the same fingerprint a same-tick rewrite leaves
-        // on a coarse-mtime filesystem. The stale stat cache used to
-        // serve the old model here; the content hash must notice.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[0] = b'X';
-        std::fs::write(&path, &bytes).unwrap();
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap()
-            .set_modified(mtime)
-            .unwrap();
-        let err = reg.get("racy").unwrap_err();
-        assert_eq!(
-            err.kind(),
-            "model",
-            "a same-fingerprint rewrite must never serve the stale model"
-        );
-        assert_eq!(reg.stats().load_failures, 1);
-        assert_eq!(
-            reg.snapshot().loaded.len(),
-            0,
-            "the stale entry was dropped"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn metadata_only_rewrite_keeps_model_and_answer_cache() {
-        let dir = temp_dir("touch");
-        let path = dir.join("touch.json");
-        let model = quick_model("touch", 15, 31);
-        model.save(&path).unwrap();
-        let reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(8));
-        let scan = model.samples()[0].clone();
-        assign_one(&reg, "touch", &scan);
-        assert_eq!(reg.snapshot().cache_entries, 1);
-        // A fingerprint change with identical content (a `touch`) must
-        // refresh the fingerprint, not reload: the answer cache and the
-        // loaded generation survive.
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap()
-            .set_modified(SystemTime::now() - std::time::Duration::from_secs(30))
-            .unwrap();
-        let (_, fetch) = reg.get("touch").unwrap();
+        assert_eq!((old.samples().len(), new.samples().len()), (45, 60));
+        let (served, fetch) = reg.get("hot").unwrap();
         assert_eq!(fetch, Fetch::Hit);
-        assert_eq!(reg.stats().reloads, 0);
-        assert_eq!(reg.snapshot().cache_entries, 1, "answer cache survived");
+        assert!(Arc::ptr_eq(&new, &served));
+        // A swap with nothing resident is a plain load.
+        assert!(reg.evict("hot"));
+        assert_eq!(reg.swap("hot").unwrap().1, Fetch::Miss);
+        assert_eq!(reg.stats().reloads, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_swap_drops_the_replaced_generation() {
+        let dir = temp_dir("bad_swap");
+        let path = dir.join("flip.json");
+        quick_model("flip", 15, 11).save(&path).unwrap();
+        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        reg.get("flip").unwrap();
+        std::fs::write(&path, "{\"schema\": \"nope\"").unwrap();
+        assert_eq!(reg.swap("flip").unwrap_err().kind(), "model");
+        assert_eq!(reg.stats().load_failures, 1);
+        assert_eq!(reg.snapshot().loaded.len(), 0, "the old model kept serving");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1257,7 +1066,7 @@ mod tests {
     }
 
     #[test]
-    fn answer_cache_dropped_on_evict_and_reload() {
+    fn answer_cache_dropped_on_evict_and_swap() {
         let dir = temp_dir("ans_inval");
         let path = dir.join("inv.json");
         let model = quick_model("inv", 15, 24);
@@ -1275,11 +1084,11 @@ mod tests {
             2,
             "evict forced a recompute"
         );
-        // Hot reload (differently sized artifact) drops them too.
-        quick_model("inv", 20, 25).save(&path).unwrap();
-        let (_, fetch) = reg.get("inv").unwrap();
+        // A swap drops them too, even of byte-identical content.
+        assert_eq!(reg.snapshot().cache_entries, 1);
+        let (_, fetch) = reg.swap("inv").unwrap();
         assert_eq!(fetch, Fetch::Reload);
-        assert_eq!(reg.snapshot().cache_entries, 0, "reload kept stale answers");
+        assert_eq!(reg.snapshot().cache_entries, 0, "swap kept stale answers");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1459,16 +1268,48 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[cfg(unix)]
     #[test]
-    fn content_hash_sees_one_byte_changes_in_a_word_and_in_the_tail() {
-        // Two 8-byte words and a 5-byte tail.
-        let bytes: Vec<u8> = (0u8..21).collect();
-        let base = content_hash(&bytes);
-        for i in [3, 18] {
-            let mut changed = bytes.clone();
-            changed[i] ^= 0x40;
-            assert_ne!(content_hash(&changed), base, "byte {i} changed");
-        }
-        assert_eq!(content_hash(&[]), FNV_OFFSET);
+    fn a_swap_behind_a_load_of_the_old_bytes_leaves_the_new_generation() {
+        use std::io::Write;
+        let dir = temp_dir("swap_race");
+        let staged = dir.join("x.staged");
+        quick_model("x", 15, 43).save(&staged).unwrap();
+        let old_bytes = std::fs::read(&staged).unwrap();
+        quick_model("x", 20, 44).save(&staged).unwrap();
+        let fifo = dir.join("x.json");
+        mkfifo(&fifo);
+        let reg = &ModelRegistry::new(RegistryConfig::new(&dir));
+        std::thread::scope(|s| {
+            let load = s.spawn(|| reg.get("x"));
+            // The miss-load now holds x's slot, blocked in its read of
+            // the old bytes. Publish the new generation over the path,
+            // then swap: the swap queues on the slot.
+            let mut writer = std::fs::OpenOptions::new().write(true).open(&fifo).unwrap();
+            std::fs::rename(&staged, &fifo).unwrap();
+            let swap = s.spawn(|| reg.swap("x"));
+            while reg.lock().slots.get("x").map_or(0, Arc::strong_count) < 3 {
+                std::thread::yield_now();
+            }
+            // Queued, the swap can neither finish nor install while the
+            // load is blocked.
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            assert!(!swap.is_finished(), "the swap ran beside the load");
+            assert!(reg.snapshot().loaded.is_empty());
+            writer.write_all(&old_bytes).unwrap();
+            drop(writer);
+            let (old, fetch_old) = load.join().unwrap().unwrap();
+            let (new, fetch_new) = swap.join().unwrap().unwrap();
+            assert_eq!((fetch_old, fetch_new), (Fetch::Miss, Fetch::Reload));
+            assert_eq!((old.samples().len(), new.samples().len()), (45, 60));
+            let (served, fetch) = reg.get("x").unwrap();
+            assert_eq!(fetch, Fetch::Hit);
+            assert!(
+                Arc::ptr_eq(&served, &new),
+                "the old bytes outlived the swap"
+            );
+        });
+        assert!(reg.lock().slots.is_empty(), "slots outlived their loads");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -148,11 +148,11 @@ pub struct Daemon {
     config: DaemonConfig,
     registry: ModelRegistry,
     metrics: Mutex<ServingMetrics>,
-    /// Serializes artifact mutations (`extend`, `swap`) against each
-    /// other. Inference never takes this lock: while a mutation clones,
-    /// grows, and atomically republishes an artifact, assigns keep
-    /// serving the old generation; the new one goes live only when the
-    /// rename lands and the cache entry is dropped.
+    /// Serializes `extend`s: two extends of one generation would each
+    /// publish without the other's scans. Inference never takes this
+    /// lock: while an extend clones, grows, and atomically republishes
+    /// an artifact, assigns keep serving the old generation; the new one
+    /// goes live only when the registry swaps it in.
     mutation: Mutex<()>,
 }
 
@@ -327,11 +327,8 @@ impl Daemon {
             Request::Load { building } => match self.registry.get(&building) {
                 Err(e) => RequestOutcome::rejected(e),
                 Ok((model, fetch)) => {
-                    let fetch = match fetch {
-                        Fetch::Hit => "hit",
-                        Fetch::Miss => "miss",
-                        Fetch::Reload => "reload",
-                    };
+                    // A get never reloads: only `swap` does.
+                    let fetch = if fetch == Fetch::Hit { "hit" } else { "miss" };
                     RequestOutcome {
                         tenant_exists: true,
                         ..RequestOutcome::ok(Response::Load {
@@ -408,10 +405,10 @@ impl Daemon {
 
     /// The v2 `extend` op: clone the live model, grow it with the new
     /// reference scans, atomically republish the artifact (temp file +
-    /// rename via [`fis_core::FittedModel::save`]), and drop the cached
-    /// generation so the next request serves the extension. Holds the
-    /// mutation lock throughout; concurrent assigns keep answering from
-    /// the old generation and are never blocked.
+    /// rename via [`fis_core::FittedModel::save`]), and swap it in with
+    /// [`ModelRegistry::swap`]. Holds the mutation lock throughout;
+    /// concurrent assigns keep answering from the old generation until
+    /// the swap and are never blocked.
     fn extend(
         &self,
         building: &str,
@@ -426,7 +423,7 @@ impl Daemon {
         let report = extended.extend(scans).map_err(ServeError::from)?;
         let path = self.registry.artifact_path(building);
         extended.save(&path).map_err(ServeError::from)?;
-        self.registry.evict(building);
+        self.registry.swap(building)?;
         span.num("appended", report.appended as f64);
         Ok(Response::Extend {
             building: building.to_owned(),
@@ -438,21 +435,18 @@ impl Daemon {
         })
     }
 
-    /// The v2 `swap` op: force the on-disk artifact generation live now
-    /// by dropping the cached entry (answer cache included) and
-    /// reloading, instead of waiting for the registry's change
-    /// detection to notice.
+    /// The v2 `swap` op: put the artifact now on disk live, replacing
+    /// the resident entry (answer cache included). This is the only way
+    /// a rewritten artifact reaches a resident building.
     fn swap(&self, building: &str) -> Result<Response, ServeError> {
         let mut span = obs::span(Level::Info, "daemon", "swap");
         span.str("building", building);
-        let _mutation = self.mutation.lock().unwrap_or_else(|p| p.into_inner());
-        let evicted = self.registry.evict(building);
-        let (model, _) = self.registry.get(building)?;
+        let (model, fetch) = self.registry.swap(building)?;
         Ok(Response::Swap {
             building: building.to_owned(),
             floors: model.floors(),
             scans: model.total_scans(),
-            evicted,
+            evicted: fetch == Fetch::Reload,
         })
     }
 

@@ -124,17 +124,17 @@ the extended artifact bytes depend only on (base artifact, scans) —
 extending the same inputs anywhere yields the same file.
 
 serve runs the long-lived multi-tenant daemon over a directory of
-fitted artifacts (DIR/<building>.json, lazy-loaded, LRU-evicted,
-hot-reloaded on change), speaking newline-delimited JSON on
-stdin/stdout, or on a TCP listener with --tcp HOST:PORT. TCP mode
+fitted artifacts (DIR/<building>.json, lazy-loaded, LRU-evicted; a
+resident model is reread only on a v2 swap), speaking newline-delimited
+JSON on stdin/stdout, or on a TCP listener with --tcp HOST:PORT. TCP mode
 serves connections concurrently on a bounded pool of --pool W worker
 threads (default: one per core, clamped to 2..=8).
 --assign-cache C keeps up to C recent answers per model, keyed by
 scan content — answers are bit-identical with the cache on or off.
 Frames with \"v\":2 additionally unlock the mutation ops extend (grow
-a served model in place, atomically republished) and swap (evict and
-reload an artifact as one step); plain v1 frames are answered
-byte-for-byte as before versioning existed.
+a served model in place, atomically republished) and swap (put the
+artifact now on disk live; to publish a refit, write it, then swap);
+plain v1 frames are answered byte-for-byte as before versioning existed.
 Send {\"op\":\"shutdown\"} for a clean stop; final stats go to stderr.
 A sharded front tier for multi-daemon fleets ships as the separate
 fis-router binary (see crates/serve).

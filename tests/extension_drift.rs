@@ -248,6 +248,68 @@ fn corrupt_extension_artifacts_yield_typed_errors() {
     assert!(err.to_string().contains("empty extension"), "{err}");
 }
 
+/// An `extend` publishes through the registry's swap, which holds the
+/// building's load slot: a miss-load that read the pre-extend bytes
+/// installs before the swap and is replaced by it, so once `extend`
+/// answers, the resident model is the extended one. A concurrent client
+/// evicts and assigns in a loop, so such loads keep racing each extend.
+#[test]
+fn extend_racing_assigns_never_leaves_the_pre_extend_model_resident() {
+    let (model, epochs) = churned();
+    let dir = std::env::temp_dir().join(format!("fis_ext_race_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    model.save(dir.join("drifty.json")).expect("stage artifact");
+    let daemon = Daemon::new(DaemonConfig::new(RegistryConfig::new(&dir)));
+    let scan = &model.samples()[0];
+    let assign = Json::obj([
+        ("op", Json::Str("assign".into())),
+        ("building", Json::Str("drifty".into())),
+        ("scan", scan.to_json()),
+    ])
+    .to_string();
+    let expected = model.assign(scan).expect("survey scan answers").index();
+    for epoch in &epochs {
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let extend = Json::obj([
+            ("v", Json::Num(2.0)),
+            ("op", Json::Str("extend".into())),
+            ("building", Json::Str("drifty".into())),
+            (
+                "scans",
+                Json::Arr(epoch.iter().map(ToJson::to_json).collect()),
+            ),
+        ])
+        .to_string();
+        let total_scans = std::thread::scope(|s| {
+            let racer = s.spawn(|| {
+                // Always ends on an assign, so the building is resident
+                // when the loop stops.
+                loop {
+                    daemon.handle_line(r#"{"op":"evict","building":"drifty"}"#);
+                    let (resp, _) = daemon.handle_line(&assign);
+                    assert_eq!(resp.get("floor").and_then(Json::as_usize), Some(expected));
+                    if done.load(std::sync::atomic::Ordering::Relaxed) {
+                        break;
+                    }
+                }
+            });
+            let (resp, _) = daemon.handle_line(&extend);
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            racer.join().unwrap();
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "extend: {resp}");
+            resp.get("total_scans").and_then(Json::as_usize).unwrap()
+        });
+        let (resident, fetch) = daemon.registry().get("drifty").unwrap();
+        assert_eq!(fetch, fis_one::serve::Fetch::Hit);
+        assert_eq!(
+            resident.total_scans(),
+            total_scans,
+            "a load of the pre-extend bytes outlived the extend"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn daemon_extend_matches_library_extend_byte_for_byte() {
     let (model, epochs) = churned();

@@ -127,7 +127,7 @@ fn daemon_matches_golden_assign_fixture_across_threads_and_evictions() {
 
 /// The answer cache is an invisible optimization: for any capacity —
 /// disabled, pathologically small, or larger than the working set — and
-/// any interleaving of warm batches, evictions, and hot reloads, a
+/// any interleaving of warm batches, evictions, and swaps, a
 /// cache-enabled daemon serves bit-identically to a cache-off one.
 #[test]
 fn answer_cache_never_changes_answers() {
@@ -153,7 +153,7 @@ fn answer_cache_never_changes_answers() {
         .map(|s| model.assign(s).expect("training scan assigns").index())
         .collect();
 
-    for (round, capacity) in [0usize, 1, 1 << 14].into_iter().enumerate() {
+    for capacity in [0usize, 1, 1 << 14] {
         let daemon = Daemon::new(DaemonConfig::new(
             RegistryConfig::new(&dir).assign_cache(capacity),
         ));
@@ -178,22 +178,15 @@ fn answer_cache_never_changes_answers() {
             serve_batch(&daemon, building.name(), building.samples()),
         ));
 
-        // Hot reload: republish the artifact with extra trailing
-        // newlines — different bytes, same parsed model — so the
-        // registry's content hash sees a change and replaces the entry
-        // (and its cache) on the next fetch. A byte-identical rewrite
-        // would be recognized by hash and *keep* the entry; the
-        // registry's own tests cover that path. The newline count is
-        // per-round: the artifact persists across capacity rounds, so a
-        // fixed count would reproduce the exact bytes the next round
-        // cold-loaded and read as unchanged.
-        std::thread::sleep(std::time::Duration::from_millis(25));
-        model.save(&artifact).unwrap();
-        let mut text = std::fs::read_to_string(&artifact).unwrap();
-        text.push_str(&"\n".repeat(round + 1));
-        std::fs::write(&artifact, text).unwrap();
+        // Swap: replace the resident entry (and its cache) with a fresh
+        // read of the artifact.
+        let (response, _) = daemon.handle_line(&format!(
+            r#"{{"v":2,"op":"swap","building":"{}"}}"#,
+            building.name()
+        ));
+        assert_eq!(response.get("evicted"), Some(&Json::Bool(true)));
         rounds.push((
-            "post-reload",
+            "post-swap",
             serve_batch(&daemon, building.name(), building.samples()),
         ));
         rounds.push((
@@ -202,7 +195,7 @@ fn answer_cache_never_changes_answers() {
         ));
         assert!(
             daemon.registry().stats().reloads >= 1,
-            "reload did not trigger"
+            "swap did not reload"
         );
 
         for (label, floors) in &rounds {

@@ -3,8 +3,9 @@
 //! Everything hostile a client (or an operator's filesystem) can do —
 //! truncated and malformed frames, unknown buildings, artifacts deleted
 //! between load and request, eviction mid-stream, oversized batches —
-//! must produce a **typed JSON error response** and leave the daemon
-//! serving; nothing here may crash or close the loop early. The last
+//! must produce a **typed JSON error response** (or, for a deleted
+//! artifact, keep serving the resident model until a `swap`) and leave
+//! the daemon serving; nothing here may crash or close the loop early. The last
 //! test drives the real `fis-one serve` binary in pipe mode and asserts
 //! a clean exit.
 
@@ -139,9 +140,17 @@ fn artifact_deleted_between_load_and_request() {
         ("scan", buildings[0].samples()[0].to_json()),
     ])
     .to_string();
-    let (response, _) = daemon.handle_line(&line);
-    assert_eq!(error_kind(&response), Some("model"));
-    // Once dropped, the building is simply unknown — still typed.
+    // Deleting the artifact does nothing on its own: the resident model
+    // keeps serving.
+    let (served, _) = daemon.handle_line(&line);
+    assert_eq!(served.get("ok"), Some(&Json::Bool(true)), "{served}");
+    let (response, _) = daemon.handle_line(r#"{"op":"load","building":"vanish"}"#);
+    assert_eq!(response.get("fetch").unwrap().as_str(), Some("hit"));
+    // A swap finds no artifact: it fails typed and drops the entry...
+    let (response, _) = daemon.handle_line(r#"{"v":2,"op":"swap","building":"vanish"}"#);
+    assert_eq!(error_kind(&response), Some("unknown_building"));
+    assert!(daemon.registry().snapshot().loaded.is_empty());
+    // ...so the building is simply unknown from then on — still typed.
     let (response, _) = daemon.handle_line(&line);
     assert_eq!(error_kind(&response), Some("unknown_building"));
     std::fs::remove_dir_all(&dir).ok();
