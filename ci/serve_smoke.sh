@@ -7,7 +7,6 @@
 set -euo pipefail
 
 bin=${BIN:-target/release/fis-one}
-router_bin=${ROUTER_BIN:-target/release/fis-router}
 work=$(mktemp -d)
 pids=""
 trap 'kill $pids 2>/dev/null || true; rm -rf "$work"' EXIT
@@ -140,15 +139,14 @@ for b in smoke-0 smoke-1 smoke-2; do
 done
 echo "serve smoke OK: cache-enabled daemon answers are bit-identical to the cache-off CLI"
 
-# Third pass: two TCP shards behind fis-router, driven by 4 concurrent
-# client connections at once. Every routed, interleaved answer must
-# still be bit-identical to the one-shot `assign` CLI. One silent TCP
-# connection to the router and to each shard stays open from before
-# the clients start until shutdown: a server that stalled behind an
-# idle connection would never answer them, so every process in this
-# pass runs under a time limit and such a stall fails the smoke
-# instead of hanging it. (`timeout` is GNU coreutils; fall back to
-# perl's alarm.)
+# Third pass: one TCP daemon at --pool 8, driven by 4 concurrent
+# client connections at once. Every interleaved answer must still be
+# bit-identical to the one-shot `assign` CLI. One silent TCP connection
+# stays open from before the clients start until shutdown: a daemon
+# that stalled behind an idle connection would never answer them, so
+# every process in this pass runs under a time limit and such a stall
+# fails the smoke instead of hanging it. (`timeout` is GNU coreutils;
+# fall back to perl's alarm.)
 limit() {
   if command -v timeout >/dev/null; then timeout "$@"
   else perl -e 'alarm shift; exec @ARGV' "$@"; fi
@@ -164,28 +162,17 @@ wait_listen_addr() {
 }
 
 limit 120 "$bin" serve --models "$work/models" --tcp 127.0.0.1:0 --pool 8 \
-    2> "$work/shard0.log" &
+    2> "$work/pool.log" &
 pids="$pids $!"
-limit 120 "$bin" serve --models "$work/models" --tcp 127.0.0.1:0 --pool 8 \
-    2> "$work/shard1.log" &
-pids="$pids $!"
-shard0=$(wait_listen_addr "$work/shard0.log")
-shard1=$(wait_listen_addr "$work/shard1.log")
-limit 120 "$router_bin" --listen 127.0.0.1:0 --shards "$shard0,$shard1" \
-    --replicas 2 --pool 8 2> "$work/router.log" &
-pids="$pids $!"
-router_addr=$(wait_listen_addr "$work/router.log")
-echo "serve smoke: router on $router_addr fronting $shard0 + $shard1"
+pool_addr=$(wait_listen_addr "$work/pool.log")
+echo "serve smoke: pooled daemon on $pool_addr"
 
-limit 120 python3 - "$work" "$router_addr" "$shard0" "$shard1" <<'EOF'
+limit 120 python3 - "$work" "$pool_addr" <<'EOF'
 import json, socket, sys, threading
 work, addr = sys.argv[1], sys.argv[2]
 host, port = addr.rsplit(":", 1)
-def dial(a):
-    h, p = a.rsplit(":", 1)
-    return socket.create_connection((h, int(p)))
-# Silent connections, held open across the whole concurrent run.
-idle = [dial(a) for a in sys.argv[2:5]]
+# A silent connection, held open across the whole concurrent run.
+idle = socket.create_connection((host, int(port)))
 lines = open(f"{work}/corpus.jsonl").read().splitlines()
 buildings = [json.loads(l) for l in lines[1:]]
 requests = []
@@ -218,7 +205,7 @@ for t in threads: t.join()
 assert not errors, errors
 assert len(results) == len(requests)
 for b in buildings:
-    with open(f"{work}/router-{b['name']}.txt", "w") as out:
+    with open(f"{work}/pool-{b['name']}.txt", "w") as out:
         for s in b["samples"]:
             out.write(f"s{s['id']} F{results[(b['name'], s['id'])] + 1}\n")
 sock = socket.create_connection((host, int(port)))
@@ -226,21 +213,19 @@ f = sock.makefile("rw")
 f.write(json.dumps({"op": "stats"}) + "\n"); f.flush()
 stats = json.loads(f.readline())
 assert stats.get("ok"), stats
-assert stats["router"]["unavailable"] == 0, stats["router"]
 f.write(json.dumps({"op": "shutdown"}) + "\n"); f.flush()
 assert json.loads(f.readline())["op"] == "shutdown"
 sock.close()
-for s in idle:
-    s.close()
+idle.close()
 EOF
 
 # Wait on each process so a time-limited one fails the pass.
 for pid in $pids; do wait "$pid"; done
 pids=""
 for b in smoke-0 smoke-1 smoke-2; do
-  diff "$work/expect-$b.txt" "$work/router-$b.txt"
+  diff "$work/expect-$b.txt" "$work/pool-$b.txt"
 done
-echo "serve smoke OK: 4 concurrent connections through the sharded router, with an idle connection held to each tier, are bit-identical to the assign CLI"
+echo "serve smoke OK: 4 concurrent connections to one pooled daemon, with an idle connection held open, are bit-identical to the assign CLI"
 
 # Churn pass: one TCP daemon at --pool 2 and two concurrent clients.
 # One loops evict + assign_batch on smoke-0, so every batch loads its
@@ -425,35 +410,22 @@ diff "$work/expect-smoke-0.txt" "$work/refit-unswapped.txt"
 diff "$work/expect-refit.txt" "$work/refit-swapped.txt"
 echo "serve smoke OK: a refit over a live artifact went live only on swap, then matched the assign CLI"
 
-# Fifth pass: the same router+shards topology with end-to-end tracing
-# on (--trace journals on every tier). Answers must stay bit-identical
-# to the tracing-off reference, the v2 `metrics` op must return
-# parseable Prometheus text on both tiers, and one request's trace id
-# must appear in the router journal *and* a shard journal — the
-# cross-process reconstruction the journals exist for.
-"$bin" serve --models "$work/models" --tcp 127.0.0.1:0 --pool 8 \
-    --trace "$work/shard0-trace.jsonl" 2> "$work/tshard0.log" &
+# Fifth pass: one TCP daemon with tracing on (--trace journal), every
+# assign frame carrying a client-supplied `"trace"` context. Answers
+# must stay bit-identical to the tracing-off reference, the v2 `metrics`
+# op must return parseable Prometheus text, and a client's trace id must
+# appear in the daemon journal — the client → daemon reconstruction the
+# trace field exists for.
+limit 120 "$bin" serve --models "$work/models" --tcp 127.0.0.1:0 --pool 8 \
+    --trace "$work/daemon-trace.jsonl" 2> "$work/traced.log" &
 pids="$pids $!"
-"$bin" serve --models "$work/models" --tcp 127.0.0.1:0 --pool 8 \
-    --trace "$work/shard1-trace.jsonl" 2> "$work/tshard1.log" &
-pids="$pids $!"
-tshard0=$(wait_listen_addr "$work/tshard0.log")
-tshard1=$(wait_listen_addr "$work/tshard1.log")
-"$router_bin" --listen 127.0.0.1:0 --shards "$tshard0,$tshard1" \
-    --replicas 2 --pool 8 --trace "$work/router-trace.jsonl" \
-    2> "$work/trouter.log" &
-pids="$pids $!"
-trouter_addr=$(wait_listen_addr "$work/trouter.log")
-echo "serve smoke: traced router on $trouter_addr fronting $tshard0 + $tshard1"
+traced_addr=$(wait_listen_addr "$work/traced.log")
+echo "serve smoke: traced daemon on $traced_addr"
 
-python3 - "$work" "$trouter_addr" "$tshard0" <<'EOF'
+limit 120 python3 - "$work" "$traced_addr" <<'EOF'
 import json, socket, sys
-work, addr, shard = sys.argv[1], sys.argv[2], sys.argv[3]
-
-def dial(a):
-    host, port = a.rsplit(":", 1)
-    sock = socket.create_connection((host, int(port)))
-    return sock, sock.makefile("rw")
+work, addr = sys.argv[1], sys.argv[2]
+host, port = addr.rsplit(":", 1)
 
 def parses_as_prometheus(text, needle):
     assert needle in text, f"missing {needle}:\n{text}"
@@ -466,12 +438,17 @@ def parses_as_prometheus(text, needle):
 
 lines = open(f"{work}/corpus.jsonl").read().splitlines()
 buildings = [json.loads(l) for l in lines[1:]]
-sock, f = dial(addr)
-results = {}
+sock = socket.create_connection((host, int(port)))
+f = sock.makefile("rw")
+results, client_traces = {}, []
 for b in buildings:
     for s in b["samples"]:
+        n = len(client_traces)
+        trace = {"trace_id": f"{0xc11e000000000000 + n:016x}",
+                 "span_id": f"{0x5a00000000000000 + n:016x}"}
+        client_traces.append(trace["trace_id"])
         req = {"op": "assign", "building": b["name"],
-               "scan": {"id": s["id"], "readings": s["readings"]}}
+               "scan": {"id": s["id"], "readings": s["readings"]}, "trace": trace}
         f.write(json.dumps(req) + "\n"); f.flush()
         resp = json.loads(f.readline())
         assert resp.get("ok"), resp
@@ -481,27 +458,23 @@ for b in buildings:
     with open(f"{work}/traced-{b['name']}.txt", "w") as out:
         for s in b["samples"]:
             out.write(f"s{s['id']} F{results[(b['name'], s['id'])] + 1}\n")
+with open(f"{work}/client-traces.json", "w") as out:
+    json.dump(client_traces, out)
 
-# metrics op on the router (its own counters)...
+# metrics op: request counters, latency histograms, registry gauges.
 f.write(json.dumps({"v": 2, "op": "metrics"}) + "\n"); f.flush()
 resp = json.loads(f.readline())
 assert resp.get("ok") and resp["op"] == "metrics", resp
-parses_as_prometheus(resp["metrics"], "fis_router_requests_total")
-# ...and on a shard directly (latency histograms + registry gauges).
-ssock, sf = dial(shard)
-sf.write(json.dumps({"v": 2, "op": "metrics"}) + "\n"); sf.flush()
-sresp = json.loads(sf.readline())
-assert sresp.get("ok") and sresp["op"] == "metrics", sresp
-parses_as_prometheus(sresp["metrics"], "fis_requests_total")
-assert "fis_latency_ns_bucket" in sresp["metrics"], sresp["metrics"][:400]
-ssock.close()
+parses_as_prometheus(resp["metrics"], "fis_requests_total")
+assert "fis_latency_ns_bucket" in resp["metrics"], resp["metrics"][:400]
 
 f.write(json.dumps({"op": "shutdown"}) + "\n"); f.flush()
 assert json.loads(f.readline())["op"] == "shutdown"
 sock.close()
 EOF
 
-wait $pids
+# The journal is flushed on exit: wait before reading it.
+for pid in $pids; do wait "$pid"; done
 pids=""
 for b in smoke-0 smoke-1 smoke-2; do
   diff "$work/expect-$b.txt" "$work/traced-$b.txt"
@@ -510,19 +483,12 @@ done
 python3 - "$work" <<'EOF'
 import json, sys
 work = sys.argv[1]
-def traces(path):
-    ids = set()
-    for line in open(path):
-        ids.add(json.loads(line).get("trace"))
-    ids.discard(None)
-    return ids
-router = traces(f"{work}/router-trace.jsonl")
-shards = traces(f"{work}/shard0-trace.jsonl") | traces(f"{work}/shard1-trace.jsonl")
-assert router, "router journal recorded no traced events"
-shared = router & shards
-assert shared, f"no trace id crossed router -> shard ({len(router)} router, {len(shards)} shard ids)"
-print(f"serve smoke: {len(shared)} trace id(s) reconstruct across router -> shard journals")
+client = set(json.load(open(f"{work}/client-traces.json")))
+journal = {json.loads(line).get("trace") for line in open(f"{work}/daemon-trace.jsonl")}
+shared = client & journal
+assert shared, f"none of {len(client)} client trace ids reached the daemon journal"
+print(f"serve smoke: {len(shared)} of {len(client)} client trace id(s) reconstruct in the daemon journal")
 EOF
 
-"$bin" trace summarize "$work/router-trace.jsonl" | head -n 5
-echo "serve smoke OK: traced router answers are bit-identical to the tracing-off reference and both tiers expose parseable metrics"
+"$bin" trace summarize "$work/daemon-trace.jsonl" | head -n 5
+echo "serve smoke OK: traced daemon answers are bit-identical to the tracing-off reference and its metrics op returns parseable Prometheus text"

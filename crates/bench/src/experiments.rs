@@ -1,7 +1,8 @@
 //! Implementations of every table and figure in the paper's evaluation.
 //!
-//! Each experiment is a function so the thin `src/bin/*` wrappers and the
-//! all-in-one `benches/experiments.rs` target share one implementation.
+//! Each experiment is a function so the thin per-figure `src/bin/*`
+//! wrappers and the all-in-one `reproduce_all` bin share one
+//! implementation.
 //! The expensive artifacts (RF-GNN embeddings) are computed once per
 //! building in [`build_cache`] and reused by every ablation that permits
 //! it (K-means reuses embeddings; Jaccard/2-opt reuse the clustering).

@@ -14,8 +14,8 @@ use std::sync::OnceLock;
 pub enum Level {
     /// Unrecoverable or dropped work (failed connection, load failure).
     Error = 1,
-    /// Degraded but continuing (failover, down-marking, transient accept
-    /// errors). The default stderr level.
+    /// Degraded but continuing (transient accept errors). The default
+    /// stderr level.
     Warn = 2,
     /// Lifecycle milestones (listening, shutdown, model load).
     Info = 3,

@@ -1,8 +1,8 @@
 //! Observability layer: leveled structured events, deterministic trace
 //! spans, and a bounded in-process event journal.
 //!
-//! The workspace's serving fleet (CLI → daemon → sharded router) and the
-//! fit pipeline both emit *events* through this crate instead of ad-hoc
+//! The workspace's serving path (CLI → daemon) and the fit pipeline
+//! both emit *events* through this crate instead of ad-hoc
 //! `eprintln!` lines. An event is a single-line JSON object with a fixed
 //! envelope (`lvl`, `component`, `event`, optional `trace`/`span`/
 //! `parent`/`dur_ns`, plus free-form fields), so logs are grep-able and
@@ -13,7 +13,7 @@
 //!   everything). [`set_level`] overrides the env for in-process tests.
 //! - **the journal**, a process-global bounded ring buffer
 //!   ([`journal`]) that callers switch on explicitly (`--trace FILE` on
-//!   the CLI/daemon/router) and flush to a JSONL file. When the ring
+//!   the CLI and daemon) and flush to a JSONL file. When the ring
 //!   overflows, the *oldest* events are dropped and the drop count is
 //!   reported, so the journal is always bounded.
 //!
@@ -25,7 +25,7 @@
 //! current span is tracked per thread; child spans and events inherit
 //! its trace id, and a remote context parsed from a protocol frame can
 //! be adopted with [`span_in`] so one request is reconstructable across
-//! router → shard → registry hops from the journals alone.
+//! client → daemon → registry hops from the journals alone.
 //!
 //! Everything here is out-of-band with respect to answers: recording
 //! never feeds back into model computation, so predictions are

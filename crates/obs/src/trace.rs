@@ -2,11 +2,11 @@
 //!
 //! A [`TraceContext`] is a `(trace_id, span_id)` pair of 64-bit ids
 //! rendered as 16-hex-digit strings. Ids are *deterministic*: they are
-//! FNV-1a hashes (with an avalanche finisher, the same construction the
-//! router's ring uses) of payload bytes and monotonic sequence numbers —
-//! never wall-clock or RNG — so a single-threaded replay of the same
-//! input produces the same ids, and concurrent runs still produce
-//! collision-resistant, attribution-stable ids.
+//! FNV-1a hashes (with an avalanche finisher) of payload bytes and
+//! monotonic sequence numbers — never wall-clock or RNG — so a
+//! single-threaded replay of the same input produces the same ids, and
+//! concurrent runs still produce collision-resistant, attribution-stable
+//! ids.
 //!
 //! A [`SpanGuard`] (from [`span`], [`span_root`], or [`span_in`])
 //! measures a region: it pushes its context on a thread-local stack so
@@ -26,10 +26,9 @@ use crate::journal;
 use crate::level::{enabled, Level};
 
 /// FNV-1a over `bytes` with a 64-bit avalanche finisher (splitmix64
-/// style), matching the router's ring hash construction: plain FNV
-/// clusters on short common-prefix keys; the finisher spreads every
-/// input bit over the whole output.
-pub fn hash64(bytes: &[u8]) -> u64 {
+/// style): plain FNV clusters on short common-prefix keys; the finisher
+/// spreads every input bit over the whole output.
+fn hash64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -147,10 +146,10 @@ fn next_child_seq() -> u64 {
 pub struct Event {
     /// Severity (stderr gating; the journal records every level).
     pub level: Level,
-    /// Which subsystem emitted it (`router`, `daemon`, `registry`,
-    /// `pipeline`, ...).
+    /// Which subsystem emitted it (`daemon`, `registry`, `pipeline`,
+    /// ...).
     pub component: &'static str,
-    /// Event name within the component (`failover`, `assign`, ...).
+    /// Event name within the component (`request`, `assign`, ...).
     pub name: String,
     /// Trace identity, when the event happened inside a span (or was
     /// given one explicitly).
@@ -399,7 +398,7 @@ pub fn span_root(level: Level, component: &'static str, name: &str, payload: &[u
 
 /// Opens a span *inside* a remote context (parsed from a frame's
 /// `"trace"` field): same trace id, child span id, remote span as
-/// parent — this is how a shard continues the router's trace. Inert
+/// parent — this is how the daemon continues a client's trace. Inert
 /// when no sink is active at `level`.
 pub fn span_in(
     remote: TraceContext,
@@ -488,7 +487,7 @@ mod tests {
             trace_id: 42,
             span_id: 99,
         };
-        let guard = span_in(remote, Level::Debug, "shard", "handle");
+        let guard = span_in(remote, Level::Debug, "daemon", "request");
         assert_eq!(guard.context().unwrap().trace_id, 42);
         assert_ne!(guard.context().unwrap().span_id, 99);
     }
@@ -515,12 +514,12 @@ mod tests {
     fn event_json_is_single_line_and_sorted() {
         let mut e = Event {
             level: Level::Warn,
-            component: "router",
-            name: "failover".into(),
+            component: "daemon",
+            name: "drain".into(),
             trace: None,
             parent: None,
             dur_ns: None,
-            fields: vec![("shard".into(), Json::Num(2.0))],
+            fields: vec![("conns".into(), Json::Num(2.0))],
         };
         e.fields
             .push(("addr".into(), Json::Str("1.2.3.4:9".into())));
@@ -528,7 +527,7 @@ mod tests {
         assert!(!text.contains('\n'));
         assert_eq!(
             text,
-            r#"{"addr":"1.2.3.4:9","component":"router","event":"failover","lvl":"warn","shard":2}"#
+            r#"{"addr":"1.2.3.4:9","component":"daemon","conns":2,"event":"drain","lvl":"warn"}"#
         );
     }
 }

@@ -27,9 +27,6 @@ pub enum ServeError {
     Capacity(String),
     /// The daemon is shutting down and no longer accepts work.
     Shutdown(String),
-    /// No backend could take the request (router-level: every replica
-    /// for the routed building is unreachable).
-    Unavailable(String),
 }
 
 impl ServeError {
@@ -42,7 +39,6 @@ impl ServeError {
             ServeError::Inference(_) => "inference",
             ServeError::Capacity(_) => "capacity",
             ServeError::Shutdown(_) => "shutdown",
-            ServeError::Unavailable(_) => "unavailable",
         }
     }
 
@@ -54,8 +50,7 @@ impl ServeError {
             | ServeError::Model(m)
             | ServeError::Inference(m)
             | ServeError::Capacity(m)
-            | ServeError::Shutdown(m)
-            | ServeError::Unavailable(m) => m,
+            | ServeError::Shutdown(m) => m,
         }
     }
 
@@ -101,7 +96,6 @@ mod tests {
         assert_eq!(ServeError::Inference("x".into()).kind(), "inference");
         assert_eq!(ServeError::Capacity("x".into()).kind(), "capacity");
         assert_eq!(ServeError::Shutdown("x".into()).kind(), "shutdown");
-        assert_eq!(ServeError::Unavailable("x".into()).kind(), "unavailable");
     }
 
     #[test]

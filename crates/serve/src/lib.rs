@@ -51,7 +51,7 @@
 //! and at several cache capacities — and diffs against
 //! `FittedModel::assign`.
 //!
-//! # Concurrency and scale-out
+//! # Concurrency
 //!
 //! The daemon's shared state is one [`ModelRegistry`] (its own mutex,
 //! `&self` methods) and a metrics mutex, never held together, so
@@ -59,13 +59,11 @@
 //! connections at once on a bounded worker pool ([`pool`]), inference
 //! running outside every lock, with graceful shutdown that drains
 //! in-flight connections. `stats` reads a [`RegistrySnapshot`] taken
-//! under one registry lock hold, before the metrics lock. One tier up,
-//! [`router::Router`] (the `fis-router` bin) fronts N daemon shards
-//! with a consistent-hash ring on building id, replicating each
-//! building onto R shards and failing over mid-request when a shard
-//! dies. Both layers preserve the determinism contract: answers are a
-//! pure function of (model artifact, scan content), so any worker, any
-//! replica, and any retry produces the same bytes.
+//! under one registry lock hold, before the metrics lock. Concurrency
+//! preserves the determinism contract: answers are a pure function of
+//! (model artifact, scan content), so any worker and any retry produces
+//! the same bytes — and so does a second daemon serving the same model
+//! directory, which is all a client needs for failover.
 //!
 //! # Example
 //!
@@ -87,7 +85,6 @@ pub mod metrics;
 pub mod pool;
 pub mod protocol;
 pub mod registry;
-pub mod router;
 pub mod server;
 
 pub use error::ServeError;
@@ -97,5 +94,4 @@ pub use protocol::{BatchRow, Frame, Request, Response, PROTOCOL_VERSION};
 pub use registry::{
     AssignCache, Fetch, ModelRegistry, RegistryConfig, RegistrySnapshot, RegistryStats, ScanKey,
 };
-pub use router::{Router, RouterConfig};
 pub use server::{Daemon, DaemonConfig};

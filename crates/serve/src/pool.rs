@@ -1,10 +1,9 @@
 //! Hand-rolled concurrent TCP serving: a bounded thread-per-connection
 //! worker pool over a blocking accept loop (we are offline — no tokio).
 //!
-//! Both line-oriented servers in this crate — the [`Daemon`](crate::Daemon)
-//! and the [`Router`](crate::router::Router) — speak the same
-//! one-request-line-in / one-response-line-out protocol, so they share
-//! this machinery through the [`LineServer`] trait:
+//! The [`Daemon`](crate::Daemon) speaks a one-request-line-in /
+//! one-response-line-out protocol; this machinery drives any such server
+//! through the [`LineServer`] trait:
 //!
 //! - [`serve_lines`] drives one blocking transport (pipe mode, in-memory
 //!   tests) to completion;

@@ -22,8 +22,9 @@
 //!
 //! Any frame may carry an optional `"trace"` object —
 //! `{"trace_id":"<16 hex>","span_id":"<16 hex>"}` — identifying the
-//! distributed trace the request belongs to (injected by `fis-router`,
-//! see [`fis_obs`]). The field decorates observability only:
+//! distributed trace the request belongs to (supplied by the client so
+//! the daemon's spans join its own trace, see [`fis_obs`]). The field
+//! decorates observability only:
 //! it never changes the answer, is never echoed on responses, and a
 //! malformed trace object is ignored rather than failing the request.
 //!
@@ -415,7 +416,7 @@ pub enum Response {
         building: String,
         /// Floors in the model.
         floors: usize,
-        /// Reference scans in the model.
+        /// Reference scans in the model, base plus extension.
         scans: usize,
         /// `"hit"` or `"miss"`.
         fetch: &'static str,

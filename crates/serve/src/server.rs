@@ -227,9 +227,10 @@ impl Daemon {
             | Request::Swap { building } => Some(building.clone()),
             Request::Stats | Request::Metrics | Request::Shutdown => None,
         };
-        // Request span: continue the injected trace when the frame
-        // carried one (so a routed request reconstructs end-to-end from
-        // the journals), else root a fresh trace on the line content.
+        // Request span: continue the client's trace when the frame
+        // carried one (so the request reconstructs end-to-end from the
+        // client's and the daemon's journals), else root a fresh trace
+        // on the line content.
         // Observability only — inert unless a sink is on.
         let mut span = match trace {
             Some(remote) => obs::span_in(remote, Level::Debug, "daemon", "request"),
@@ -334,7 +335,7 @@ impl Daemon {
                         ..RequestOutcome::ok(Response::Load {
                             building,
                             floors: model.floors(),
-                            scans: model.samples().len(),
+                            scans: model.total_scans(),
                             fetch,
                         })
                     }
@@ -791,6 +792,11 @@ mod tests {
         for (scan, old) in b.samples().iter().take(5).zip(&before) {
             assert_eq!(&daemon.handle_line(&assign_line(scan)).0, old);
         }
+        // `load` counts the same resident model as `swap`: base plus
+        // extension.
+        let (load, _) = daemon.handle_line(r#"{"op":"load","building":"ext"}"#);
+        assert_eq!(load.get("ok"), Some(&Json::Bool(true)), "load: {load}");
+        assert_eq!(load.get("scans").unwrap().as_usize(), Some(48));
 
         let (swap, _) = daemon.handle_line(r#"{"v":2,"op":"swap","building":"ext"}"#);
         assert_eq!(swap.get("ok"), Some(&Json::Bool(true)), "swap: {swap}");

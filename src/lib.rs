@@ -58,8 +58,6 @@ pub use fis_core::{
 };
 pub use fis_gnn::{RfGnn, RfGnnConfig};
 pub use fis_graph::BipartiteGraph;
-pub use fis_serve::{
-    Daemon, DaemonConfig, ModelRegistry, RegistryConfig, Router, RouterConfig, ServeError,
-};
+pub use fis_serve::{Daemon, DaemonConfig, ModelRegistry, RegistryConfig, ServeError};
 pub use fis_synth::{BuildingConfig, Scale};
 pub use fis_types::{Building, Dataset, FloorId, LabeledAnchor, MacAddr, Rssi, SignalSample};

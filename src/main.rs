@@ -136,8 +136,6 @@ a served model in place, atomically republished) and swap (put the
 artifact now on disk live; to publish a refit, write it, then swap);
 plain v1 frames are answered byte-for-byte as before versioning existed.
 Send {\"op\":\"shutdown\"} for a clean stop; final stats go to stderr.
-A sharded front tier for multi-daemon fleets ships as the separate
-fis-router binary (see crates/serve).
 
 Observability: --trace FILE (on fit and serve) records pipeline and
 request spans to a bounded in-memory journal and flushes it to FILE

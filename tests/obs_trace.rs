@@ -1,6 +1,7 @@
-//! End-to-end observability acceptance: one routed request must be
-//! reconstructable across router → shard → registry → assign from the
-//! JSONL journal alone, and turning observability on (stderr logging via
+//! End-to-end observability acceptance: a request that carries a
+//! client-supplied `"trace"` context must be reconstructable across
+//! client → daemon request → assign → registry from the JSONL journal
+//! alone, and turning observability on (stderr logging via
 //! `FIS_LOG`/`set_level`, or the `--trace` journal) must never change a
 //! single answer byte — neither serving responses nor fit artifacts.
 //!
@@ -14,33 +15,35 @@ use std::net::{TcpListener, TcpStream};
 use std::process::Command;
 
 use fis_one::gnn::STEPS_PER_EPOCH;
-use fis_one::obs::{self, journal, Level};
+use fis_one::obs::{self, journal, Level, TraceContext};
 use fis_one::types::json::{Json, ToJson};
 use fis_one::{
-    Building, BuildingConfig, Daemon, DaemonConfig, FisOne, FisOneConfig, RegistryConfig, Router,
-    RouterConfig,
+    Building, BuildingConfig, Daemon, DaemonConfig, FisOne, FisOneConfig, RegistryConfig,
 };
 
 const SEED: u64 = 11;
 
 /// Sends every scan of `building` through one connection to `addr` and
 /// returns the *raw* response lines — byte-identity is the contract, so
-/// no parsing happens on the primary path.
-fn assign_raw(addr: &str, building: &Building) -> Vec<String> {
+/// no parsing happens on the primary path. With `traces`, scan `i`'s
+/// frame carries the client context `traces[i]` in its `"trace"` field.
+fn assign_raw(addr: &str, building: &Building, traces: Option<&[TraceContext]>) -> Vec<String> {
     let stream = TcpStream::connect(addr).unwrap();
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
     (0..building.samples().len())
         .map(|i| {
-            let request = Json::obj([
+            let mut request = vec![
                 ("op", Json::Str("assign".into())),
                 ("building", Json::Str(building.name().to_owned())),
                 ("scan", building.samples()[i].to_json()),
                 ("id", Json::Num(i as f64)),
-            ])
-            .to_string();
-            writeln!(writer, "{request}").unwrap();
+            ];
+            if let Some(traces) = traces {
+                request.push(("trace", traces[i].to_json()));
+            }
+            writeln!(writer, "{}", Json::obj(request)).unwrap();
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
             assert!(
@@ -92,7 +95,7 @@ fn fit_model(building: &Building) -> fis_one::FittedModel {
 }
 
 #[test]
-fn journals_reconstruct_routed_requests_and_answers_stay_bit_identical() {
+fn journals_reconstruct_client_traced_requests_and_answers_stay_bit_identical() {
     let building = BuildingConfig::new("obs", 3)
         .samples_per_floor(12)
         .seed(SEED)
@@ -151,35 +154,30 @@ fn journals_reconstruct_routed_requests_and_answers_stay_bit_identical() {
         );
     }
 
-    // ---- Phase 2: serve the model through router → shard and replay
-    // the same scans with observability off, stderr-on, journal-on. ----
+    // ---- Phase 2: serve the model over TCP and replay the same scans
+    // with observability off, stderr-on, journal-on. ----
     quiet
         .save(models.join(format!("{}.json", building.name())))
         .unwrap();
 
-    let shard_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let shard_addr = shard_listener.local_addr().unwrap().to_string();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
     let daemon = Daemon::new(DaemonConfig::new(
         RegistryConfig::new(&models).assign_cache(64),
     ));
-    let shard = std::thread::spawn(move || daemon.serve_tcp(&shard_listener).unwrap());
-
-    let router = Router::new(RouterConfig::new(vec![shard_addr.clone()]).replicas(1));
-    let front_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let front_addr = front_listener.local_addr().unwrap().to_string();
-    let front = std::thread::spawn(move || router.serve_tcp(&front_listener).unwrap());
+    let server = std::thread::spawn(move || daemon.serve_tcp(&listener).unwrap());
 
     // Leg 1: everything off — the reference answers.
-    let reference = assign_raw(&front_addr, &building);
-    // Leg 2: stderr logging at debug (trace context is injected into
-    // forwarded frames) — answers must not move.
+    let reference = assign_raw(&addr, &building, None);
+    // Leg 2: stderr logging at debug — answers must not move.
     obs::set_level(Some(Level::Debug));
-    let logged = assign_raw(&front_addr, &building);
-    // Leg 3: stderr off again, journal recording, and the model evicted
-    // on the shard first so the leg's first assign reloads it under the
-    // answer cache — answers must not move.
+    let logged = assign_raw(&addr, &building, None);
+    // Leg 3: stderr off again, journal recording, every frame carrying
+    // a client-supplied trace context, and the model evicted first so
+    // the leg's first assign reloads it under the answer cache —
+    // answers must not move.
     obs::set_level(None);
-    let mut evict = TcpStream::connect(&shard_addr).unwrap();
+    let mut evict = TcpStream::connect(&addr).unwrap();
     writeln!(
         evict,
         r#"{{"op":"evict","building":"{}"}}"#,
@@ -189,8 +187,11 @@ fn journals_reconstruct_routed_requests_and_answers_stay_bit_identical() {
     let mut evicted = String::new();
     BufReader::new(evict).read_line(&mut evicted).unwrap();
     assert!(evicted.contains("\"evicted\":true"), "{}", evicted.trim());
+    let client_traces: Vec<TraceContext> = (0..building.samples().len())
+        .map(|i| TraceContext::root(format!("client-{i}").as_bytes()))
+        .collect();
     journal::start(journal::DEFAULT_JOURNAL_CAPACITY);
-    let journaled_legs = assign_raw(&front_addr, &building);
+    let journaled_legs = assign_raw(&addr, &building, Some(&client_traces));
     let serve_journal = journal::stop().expect("journal was recording").to_jsonl();
 
     assert_eq!(
@@ -211,30 +212,24 @@ fn journals_reconstruct_routed_requests_and_answers_stay_bit_identical() {
         );
     }
 
-    // ---- Phase 3: reconstruct one routed request end-to-end from the
-    // journal: router dispatch → shard request → assign → registry. ----
+    // ---- Phase 3: reconstruct each client-traced request end-to-end
+    // from the journal: daemon request → assign → registry. ----
     let events = events_of(&serve_journal);
-    let dispatches: Vec<&Json> = find(&events, "router", "dispatch")
-        .into_iter()
-        .filter(|e| field(e, "op") == Some("assign"))
-        .collect();
-    assert_eq!(
-        dispatches.len(),
-        building.samples().len(),
-        "one dispatch span per routed assign"
-    );
-    for dispatch in &dispatches {
-        let trace = field(dispatch, "trace").expect("dispatch has a trace id");
-        let dispatch_span = field(dispatch, "span").expect("dispatch has a span id");
+    for client in &client_traces {
+        let (trace, client_span) = (
+            format!("{:016x}", client.trace_id),
+            format!("{:016x}", client.span_id),
+        );
+        let trace = trace.as_str();
         let request = events
             .iter()
             .find(|e| {
                 field(e, "component") == Some("daemon")
                     && field(e, "event") == Some("request")
                     && field(e, "trace") == Some(trace)
-                    && field(e, "parent") == Some(dispatch_span)
+                    && field(e, "parent") == Some(client_span.as_str())
             })
-            .unwrap_or_else(|| panic!("no shard request span adopted dispatch trace {trace}"));
+            .unwrap_or_else(|| panic!("no daemon request span adopted client trace {trace}"));
         let request_span = field(request, "span").unwrap();
         let assign = events
             .iter()
@@ -280,16 +275,13 @@ fn journals_reconstruct_routed_requests_and_answers_stay_bit_identical() {
 
     // The summarizer digests the same journal into per-stage rows.
     let stages = obs::summarize(&serve_journal);
-    for key in [("router", "dispatch"), ("daemon", "assign")] {
-        assert!(
-            stages.contains_key(&(key.0.to_owned(), key.1.to_owned())),
-            "summary is missing stage {key:?}"
-        );
-    }
+    assert!(
+        stages.contains_key(&("daemon".to_owned(), "assign".to_owned())),
+        "summary is missing stage (\"daemon\", \"assign\")"
+    );
 
-    shutdown(&front_addr);
-    front.join().unwrap();
-    shard.join().unwrap();
+    shutdown(&addr);
+    server.join().unwrap();
     obs::level::clear_level();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,26 +1,20 @@
 //! Concurrent-serving determinism against the golden fixtures.
 //!
-//! The concurrency layers added on top of the daemon — the bounded
-//! connection pool and the sharding `fis-router` with replica failover —
-//! must be *invisible* in the answers: golden scans served by N
-//! interleaved clients, through any shard placement, and across a shard
-//! dying mid-run, produce floors **bit-identical** to the checked-in
+//! The bounded connection pool on top of the daemon must be
+//! *invisible* in the answers: golden scans served by N interleaved
+//! clients produce floors **bit-identical** to the checked-in
 //! `tests/fixtures/golden_assign.jsonl` and to a sequential
 //! single-connection baseline. Assignment is a pure function of
 //! (model artifact, scan content), so interleaving, lock acquisition
-//! order, worker scheduling, and failover retries may only change
-//! timing — never bytes.
+//! order, and worker scheduling may only change timing — never bytes.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use fis_one::types::io;
 use fis_one::types::json::{Json, ToJson};
-use fis_one::{
-    Building, Daemon, DaemonConfig, FisOne, FisOneConfig, RegistryConfig, Router, RouterConfig,
-};
+use fis_one::{Building, Daemon, DaemonConfig, FisOne, FisOneConfig, RegistryConfig};
 
 const GOLDEN_SEED: u64 = 7;
 const CLIENTS: usize = 4;
@@ -189,85 +183,4 @@ fn assign_interleaved_baseline(
             (i, response.get("floor").unwrap().as_usize().unwrap())
         })
         .collect()
-}
-
-#[test]
-fn router_survives_shard_death_mid_run_bit_identically() {
-    let (building, dir) = stage_golden("router");
-
-    // Three shards over the same artifact directory.
-    let mut shard_addrs = Vec::new();
-    let mut shard_handles = Vec::new();
-    for _ in 0..3 {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        shard_addrs.push(listener.local_addr().unwrap().to_string());
-        let daemon = Daemon::new(DaemonConfig::new(RegistryConfig::new(&dir)).pool(CLIENTS + 2));
-        shard_handles.push(Some(std::thread::spawn(move || {
-            daemon.serve_tcp(&listener).unwrap();
-        })));
-    }
-
-    let router = Arc::new(Router::new(
-        RouterConfig::new(shard_addrs.clone())
-            .replicas(2)
-            .pool(CLIENTS + 2),
-    ));
-    let placement = router.route(building.name());
-    assert_eq!(placement.len(), 2, "golden building has two replicas");
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let front = {
-        let router = Arc::clone(&router);
-        std::thread::spawn(move || router.serve_tcp(&listener).unwrap())
-    };
-
-    // Phase 1: first half of the golden scans, interleaved clients, all
-    // replicas alive.
-    let n = building.samples().len();
-    let first_half: Vec<usize> = (0..n / 2).collect();
-    let second_half: Vec<usize> = (n / 2..n).collect();
-    let mut floors = assign_interleaved(&addr, &building, &first_half);
-
-    // Kill the building's *primary* replica mid-run — direct shutdown to
-    // that shard, then join its thread so its listener is fully gone and
-    // the router must fail over to the surviving replica.
-    let primary = placement[0];
-    {
-        let (mut reader, mut writer) = connect(&shard_addrs[primary]);
-        let response = roundtrip(&mut reader, &mut writer, r#"{"op":"shutdown"}"#);
-        assert_eq!(response.get("op").unwrap().as_str(), Some("shutdown"));
-    }
-    shard_handles[primary].take().unwrap().join().unwrap();
-
-    // Phase 2: the rest of the scans; every answer now comes from the
-    // surviving replica and must still match the fixture bit-for-bit.
-    floors.extend(assign_interleaved(&addr, &building, &second_half));
-    floors.sort_unstable();
-    assert_eq!(
-        render(&building, &floors),
-        golden_expected(),
-        "failover changed answers vs tests/fixtures/golden_assign.jsonl"
-    );
-
-    // The router observed the failover (phase 2 requests were answered
-    // by a non-primary replica).
-    let (mut reader, mut writer) = connect(&addr);
-    let stats = roundtrip(&mut reader, &mut writer, r#"{"op":"stats"}"#);
-    let failovers = stats
-        .get("router")
-        .and_then(|r| r.get("failovers"))
-        .and_then(Json::as_usize)
-        .unwrap_or(0);
-    assert!(
-        failovers >= second_half.len(),
-        "expected every post-death request to fail over, saw {failovers}"
-    );
-
-    // Shutdown through the router broadcasts to the surviving shards.
-    roundtrip(&mut reader, &mut writer, r#"{"op":"shutdown"}"#);
-    front.join().unwrap();
-    for handle in shard_handles.into_iter().flatten() {
-        handle.join().unwrap();
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
