@@ -492,3 +492,50 @@ EOF
 
 "$bin" trace summarize "$work/daemon-trace.jsonl" | head -n 5
 echo "serve smoke OK: traced daemon answers are bit-identical to the tracing-off reference and its metrics op returns parseable Prometheus text"
+
+# Sixth pass: a corrupt artifact beside good ones. `broken.json` is the
+# first half of smoke-0's artifact. An assign to `broken` must answer a
+# typed `model` error (twice: a failed load caches nothing), `stats`
+# must still answer, and smoke-1 must still be served bit-identically
+# to the assign CLI by the same daemon.
+mkdir "$work/models_broken"
+cp "$work/models/smoke-1.json" "$work/models_broken/"
+python3 - "$work" <<'EOF'
+import json, sys
+work = sys.argv[1]
+text = open(f"{work}/models/smoke-0.json").read()
+open(f"{work}/models_broken/broken.json", "w").write(text[: len(text) // 2])
+corpus = [json.loads(l) for l in open(f"{work}/corpus.jsonl").read().splitlines()[1:]]
+scans = {b["name"]: [{"id": s["id"], "readings": s["readings"]} for s in b["samples"]]
+         for b in corpus}
+with open(f"{work}/script_broken.ndjson", "w") as out:
+    emit = lambda req: out.write(json.dumps(req) + "\n")
+    emit({"op": "assign", "building": "broken", "scan": scans["smoke-0"][0]})
+    emit({"op": "stats"})
+    emit({"op": "assign_batch", "building": "smoke-1", "scans": scans["smoke-1"]})
+    emit({"op": "assign", "building": "broken", "scan": scans["smoke-0"][1]})
+    emit({"op": "shutdown"})
+EOF
+
+"$bin" serve --models "$work/models_broken" \
+    < "$work/script_broken.ndjson" > "$work/responses_broken.ndjson"
+
+python3 - "$work" <<'EOF'
+import json, sys
+work = sys.argv[1]
+responses = [json.loads(l) for l in open(f"{work}/responses_broken.ndjson")]
+assert [r["op"] for r in responses] == \
+    ["assign", "stats", "assign_batch", "assign", "shutdown"], responses
+for r in (responses[0], responses[3]):
+    assert not r["ok"] and r["error"]["kind"] == "model", r
+assert responses[1]["ok"], responses[1]
+assert responses[1]["stats"]["registry"]["load_failures"] == 1, responses[1]
+batch = responses[2]
+assert batch["ok"] and batch["failures"] == 0, batch
+with open(f"{work}/broken-smoke-1.txt", "w") as out:
+    for row in batch["results"]:
+        out.write(f"s{row['scan_id']} F{row['floor'] + 1}\n")
+EOF
+
+diff "$work/expect-smoke-1.txt" "$work/broken-smoke-1.txt"
+echo "serve smoke OK: a truncated artifact answers a typed model error while the daemon keeps serving its other buildings"

@@ -38,10 +38,20 @@ fn bench_linalg(c: &mut Criterion) {
     }
 }
 
+/// The 2000-scan building (5 floors x 400 scans) that `core/fit`,
+/// `model/load` and, as a corpus file, `io/corpus_parse` all use.
+fn building_2000() -> fis_types::Building {
+    BuildingConfig::new("bench", 5)
+        .samples_per_floor(400)
+        .seed(11)
+        .generate()
+}
+
 /// Cold-loading a serving artifact: JSON parse, decode, graph + VP-tree
 /// rebuild. This is what every registry miss costs, under the building's
 /// load slot. `load(240 scans)` is the default-config f64 artifact of a
-/// 4-floor x 60-scan building, the size the end-to-end benchmark serves.
+/// 4-floor x 60-scan building, the size the end-to-end benchmark serves;
+/// `load(2000 scans)` is the artifact of the `core/fit` building.
 fn bench_model_load(c: &mut Criterion) {
     let served = BuildingConfig::new("bench", 4)
         .samples_per_floor(60)
@@ -49,22 +59,27 @@ fn bench_model_load(c: &mut Criterion) {
         .generate();
     let dir = std::env::temp_dir().join(format!("fis-bench-model-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("bench-f64.json");
-    fis_core::FisOne::new(fis_core::FisOneConfig::default().seed(0))
-        .fit(
-            served.name(),
-            served.samples(),
-            served.floors(),
-            served.bottom_anchor().unwrap(),
-        )
-        .expect("bench building fits")
-        .save(&path)
-        .expect("artifact saves");
     let mut group = c.benchmark_group("model");
     group.sample_size(20);
-    group.bench_function("load(240 scans)", |bench| {
-        bench.iter(|| fis_core::FittedModel::load(std::hint::black_box(&path)).unwrap())
-    });
+    for (stage, building) in [
+        ("load(240 scans)", served),
+        ("load(2000 scans)", building_2000()),
+    ] {
+        let path = dir.join(format!("bench-{}.json", building.samples().len()));
+        fis_core::FisOne::new(fis_core::FisOneConfig::default().seed(0))
+            .fit(
+                building.name(),
+                building.samples(),
+                building.floors(),
+                building.bottom_anchor().unwrap(),
+            )
+            .expect("bench building fits")
+            .save(&path)
+            .expect("artifact saves");
+        group.bench_function(stage, |bench| {
+            bench.iter(|| fis_core::FittedModel::load(std::hint::black_box(&path)).unwrap())
+        });
+    }
     group.finish();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -122,13 +137,7 @@ fn bench_registry(c: &mut Criterion) {
 /// Reading a 2000-scan corpus file (`fis-one generate --floors 5
 /// --samples 400`): one ~1 MB JSON line of scans, parsed and validated.
 fn bench_corpus_parse(c: &mut Criterion) {
-    let corpus = fis_types::Dataset::new(
-        "bench",
-        vec![BuildingConfig::new("bench", 5)
-            .samples_per_floor(400)
-            .seed(11)
-            .generate()],
-    );
+    let corpus = fis_types::Dataset::new("bench", vec![building_2000()]);
     let dir = std::env::temp_dir().join(format!("fis-bench-corpus-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("corpus.jsonl");
@@ -166,13 +175,7 @@ fn bench_random_walks(c: &mut Criterion) {
 /// --threads 1` runs it: graph, RF-GNN training, clustering, TSP order,
 /// reference embeddings and VP-tree. Training is nearly all of it.
 fn bench_fit(c: &mut Criterion) {
-    let corpus = fis_types::Dataset::new(
-        "bench",
-        vec![BuildingConfig::new("bench", 5)
-            .samples_per_floor(400)
-            .seed(11)
-            .generate()],
-    );
+    let corpus = fis_types::Dataset::new("bench", vec![building_2000()]);
     let engine = fis_core::FisEngine::new(fis_core::EngineConfig::default().threads(1));
     let mut group = c.benchmark_group("core");
     group.sample_size(10);

@@ -13,7 +13,14 @@
 //! 2. [`FittedModel::save`] / [`FittedModel::load`] persist the whole
 //!    model as one JSON artifact via `fis_types::json`. The codec writes
 //!    `f64` with shortest-round-trip precision and sorted object keys, so
-//!    save → load → save is **byte-identical**.
+//!    save → load → save is **byte-identical**. Loading decodes straight
+//!    from the pull [`Reader`]: scans, matrices, embeddings and index
+//!    arrays go into their typed fields as the text is walked, once, with
+//!    no [`Json`] tree in between. Keys may come in any order, unknown
+//!    keys are skipped and a later duplicate key wins; then one
+//!    validation sequence checks every invariant and rebuilds the graph,
+//!    MAC index and VP-tree. Errors are those of the tree it replaced:
+//!    the first syntax error in the text, else the first failed check.
 //! 3. [`FittedModel::assign`] labels a new scan without refitting: it
 //!    attaches the scan to the MAC nodes it heard, embeds it with the
 //!    tape-free [`fis_gnn::RfGnn::infer_scan`] pass, and returns the
@@ -91,8 +98,9 @@ use std::path::Path;
 use fis_gnn::RfGnn;
 use fis_graph::BipartiteGraph;
 use fis_obs::{self as obs, Level};
-use fis_types::json::{FromJson, Json, ToJson};
-use fis_types::{FloorId, LabeledAnchor, MacAddr, SignalSample};
+use fis_types::fnv::{fnv1a, FNV_OFFSET};
+use fis_types::json::{Json, Kind, Reader, ToJson};
+use fis_types::{FloorId, LabeledAnchor, MacAddr, SignalSample, TypeError};
 
 use crate::error::FisError;
 use crate::extension::{build_extended_state, ExtendedState, ExtensionReport};
@@ -678,8 +686,8 @@ impl FittedModel {
     ///
     /// Returns [`FisError::Model`] describing the first problem.
     pub fn from_json_str(text: &str) -> Result<Self, FisError> {
-        let json = Json::parse(text).map_err(|e| FisError::Model(e.to_string()))?;
-        Self::from_json(&json)
+        let fields = ArtifactFields::read(text).map_err(|e| FisError::Model(e.to_string()))?;
+        Self::from_fields(fields)
     }
 
     /// Writes the artifact to `path` (the JSON line plus a trailing
@@ -717,10 +725,14 @@ impl FittedModel {
         Self::from_json_str(text.trim_end_matches('\n'))
     }
 
-    fn from_json(json: &Json) -> Result<Self, FisError> {
+    /// Checks the fields read from an artifact, in a fixed order that
+    /// does not depend on the order of its keys, and rebuilds the graph,
+    /// MAC index and VP-tree.
+    fn from_fields(fields: ArtifactFields) -> Result<Self, FisError> {
         let model_err = |msg: String| FisError::Model(msg);
-        let schema = json
-            .get("schema")
+        let schema = fields
+            .schema
+            .as_ref()
             .and_then(Json::as_str)
             .ok_or_else(|| model_err("missing `schema` marker".into()))?;
         if schema != MODEL_SCHEMA {
@@ -728,8 +740,9 @@ impl FittedModel {
                 "unknown schema `{schema}` (expected `{MODEL_SCHEMA}`)"
             )));
         }
-        let version = json
-            .get("version")
+        let version = fields
+            .version
+            .as_ref()
             .and_then(Json::as_usize)
             .ok_or_else(|| model_err("missing `version`".into()))?;
         if version != MODEL_SCHEMA_VERSION && version != MODEL_SCHEMA_VERSION_EXTENDED {
@@ -738,28 +751,21 @@ impl FittedModel {
                  {MODEL_SCHEMA_VERSION} and {MODEL_SCHEMA_VERSION_EXTENDED})"
             )));
         }
-        let field = |key: &str| {
-            json.get(key)
-                .ok_or_else(|| model_err(format!("missing field `{key}`")))
-        };
-        let building = field("building")?
+        let building = required(fields.building, "building")?
             .as_str()
             .ok_or_else(|| model_err("`building` must be a string".into()))?
             .to_owned();
-        let floors = field("floors")?
+        let floors = required(fields.floors, "floors")?
             .as_usize()
             .filter(|&f| f > 0)
             .ok_or_else(|| model_err("`floors` must be a positive integer".into()))?;
 
-        let gnn = RfGnn::from_json(field("gnn")?).map_err(|e| model_err(e.to_string()))?;
-        let config = pipeline_config_from_json(field("config")?, gnn.config().clone())?;
+        let gnn = required(fields.gnn, "gnn")??;
+        let config =
+            pipeline_config_from_json(&required(fields.config, "config")?, gnn.config().clone())?;
 
-        let macs = usize_like_array(field("macs")?, "macs", |v| {
-            MacAddr::from_json(v).map_err(|e| model_err(e.to_string()))
-        })?;
-        let samples = usize_like_array(field("samples")?, "samples", |v| {
-            SignalSample::from_json(v).map_err(|e| model_err(e.to_string()))
-        })?;
+        let macs = required(fields.macs, "macs")??;
+        let samples = required(fields.samples, "samples")??;
         let graph = BipartiteGraph::from_samples(&samples)
             .map_err(|e| model_err(format!("training scans do not rebuild a graph: {e}")))?;
         if graph.macs() != macs.as_slice() {
@@ -777,7 +783,7 @@ impl FittedModel {
             )));
         }
 
-        let references = float_rows(field("references")?, "references")?;
+        let references = required(fields.references, "references")??;
         if references.len() != samples.len() {
             return Err(model_err(format!(
                 "{} reference embeddings for {} training scans",
@@ -792,7 +798,7 @@ impl FittedModel {
             )));
         }
 
-        let centroids = float_rows(field("centroids")?, "centroids")?;
+        let centroids = required(fields.centroids, "centroids")??;
         if centroids.len() != floors {
             return Err(model_err(format!(
                 "floor-count mismatch: artifact declares {floors} floors but carries {} centroids",
@@ -806,8 +812,8 @@ impl FittedModel {
             )));
         }
 
-        let floor_of_cluster = index_array(field("floor_of_cluster")?, "floor_of_cluster")?;
-        let cluster_order = index_array(field("cluster_order")?, "cluster_order")?;
+        let floor_of_cluster = required(fields.floor_of_cluster, "floor_of_cluster")??;
+        let cluster_order = required(fields.cluster_order, "cluster_order")??;
         if floor_of_cluster.len() != floors || cluster_order.len() != floors {
             return Err(model_err(format!(
                 "floor-count mismatch: {floors} floors vs {} floor assignments / {} path entries",
@@ -830,7 +836,7 @@ impl FittedModel {
             }
         }
 
-        let assignment = index_array(field("assignment")?, "assignment")?;
+        let assignment = required(fields.assignment, "assignment")??;
         if assignment.len() != samples.len() {
             return Err(model_err(format!(
                 "assignment covers {} scans, corpus has {}",
@@ -845,20 +851,15 @@ impl FittedModel {
         }
 
         let extension = if version == MODEL_SCHEMA_VERSION_EXTENDED {
-            let ext = field("extension")?;
-            let efield = |key: &str| {
-                ext.get(key)
-                    .ok_or_else(|| model_err(format!("missing extension field `{key}`")))
-            };
-            let ext_samples = usize_like_array(efield("samples")?, "extension.samples", |v| {
-                SignalSample::from_json(v).map_err(|e| model_err(e.to_string()))
-            })?;
+            let ext = required(fields.extension, "extension")?;
+            let efield = |key: &str| model_err(format!("missing extension field `{key}`"));
+            let ext_samples = ext.samples.ok_or_else(|| efield("samples"))??;
             if ext_samples.is_empty() {
                 return Err(model_err(
                     "version 2 artifact carries an empty extension".into(),
                 ));
             }
-            let ext_assignment = index_array(efield("assignment")?, "extension.assignment")?;
+            let ext_assignment = ext.assignment.ok_or_else(|| efield("assignment"))??;
             if ext_assignment.len() != ext_samples.len() {
                 return Err(model_err(format!(
                     "extension assignment covers {} scans, extension has {}",
@@ -871,7 +872,7 @@ impl FittedModel {
                     "extension assignment references a cluster beyond the floor count".into(),
                 ));
             }
-            let ext_references = float_rows(efield("references")?, "extension.references")?;
+            let ext_references = ext.references.ok_or_else(|| efield("references"))??;
             Some(build_extended_state(
                 &samples,
                 &macs,
@@ -885,7 +886,7 @@ impl FittedModel {
             // Version 1 is extension-free by definition; a stray
             // `extension` field means the artifact was hand-edited or
             // mislabeled, and silently dropping it would change answers.
-            if json.get("extension").is_some() {
+            if fields.extension.is_some() {
                 return Err(model_err(format!(
                     "version {version} artifact must not carry an `extension` field"
                 )));
@@ -1022,19 +1023,13 @@ pub(crate) fn known_neighbors(
 /// same scan gets the same embedding no matter when, where, or next to
 /// which other scans it is served.
 pub(crate) fn scan_seed(model_seed: u64, scan: &SignalSample) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: [u8; 8]| {
-        for b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    };
-    eat(model_seed.to_le_bytes());
-    for (mac, rssi) in scan.iter() {
-        eat(mac.to_u64().to_le_bytes());
-        eat(rssi.dbm().to_bits().to_le_bytes());
-    }
-    h
+    scan.iter().fold(
+        fnv1a(FNV_OFFSET, &model_seed.to_le_bytes()),
+        |h, (mac, rssi)| {
+            let h = fnv1a(h, &mac.to_u64().to_le_bytes());
+            fnv1a(h, &rssi.dbm().to_bits().to_le_bytes())
+        },
+    )
 }
 
 fn float_rows_to_json(rows: &[Vec<f64>]) -> Json {
@@ -1045,39 +1040,215 @@ fn float_rows_to_json(rows: &[Vec<f64>]) -> Json {
     )
 }
 
-fn float_rows(value: &Json, what: &str) -> Result<Vec<Vec<f64>>, FisError> {
-    usize_like_array(value, what, |v| {
-        let row = v
-            .as_arr()
-            .ok_or_else(|| FisError::Model(format!("`{what}` rows must be arrays")))?;
-        row.iter()
-            .map(|x| {
-                x.as_f64()
-                    .ok_or_else(|| FisError::Model(format!("`{what}` entries must be numbers")))
-            })
-            .collect::<Result<Vec<f64>, FisError>>()
+/// A problem found while reading an artifact: the message of the
+/// [`FisError::Model`] it becomes.
+#[derive(Debug)]
+struct Invalid(String);
+
+impl From<TypeError> for Invalid {
+    fn from(e: TypeError) -> Self {
+        Invalid(e.to_string())
+    }
+}
+
+impl From<Invalid> for FisError {
+    fn from(e: Invalid) -> Self {
+        FisError::Model(e.0)
+    }
+}
+
+/// One typed field of an artifact: `None` while its key has not been
+/// seen, else the value or the problem reading it, raised only if the
+/// field is still wanted once the whole text has parsed.
+type Slot<T> = Option<Result<T, Invalid>>;
+
+/// The top-level fields of an artifact, each read straight into its
+/// type, in whatever key order the text has. Unknown keys are skipped;
+/// a later duplicate key replaces an earlier one, as in a [`Json::Obj`].
+/// Small objects (`config`) and scalars stay [`Json`] values.
+#[derive(Default)]
+struct ArtifactFields {
+    schema: Option<Json>,
+    version: Option<Json>,
+    building: Option<Json>,
+    floors: Option<Json>,
+    config: Option<Json>,
+    gnn: Slot<RfGnn>,
+    macs: Slot<Vec<MacAddr>>,
+    samples: Slot<Vec<SignalSample>>,
+    references: Slot<Vec<Vec<f64>>>,
+    centroids: Slot<Vec<Vec<f64>>>,
+    floor_of_cluster: Slot<Vec<usize>>,
+    cluster_order: Slot<Vec<usize>>,
+    assignment: Slot<Vec<usize>>,
+    extension: Option<ExtensionFields>,
+}
+
+/// The fields of a version-2 artifact's `extension` object.
+#[derive(Default)]
+struct ExtensionFields {
+    samples: Slot<Vec<SignalSample>>,
+    assignment: Slot<Vec<usize>>,
+    references: Slot<Vec<Vec<f64>>>,
+}
+
+impl ArtifactFields {
+    /// Walks the artifact text once. The only error is the first syntax
+    /// error in the text, the one [`Json::parse`] reports; every other
+    /// problem waits in its slot for [`FittedModel::from_fields`].
+    fn read(text: &str) -> Result<Self, TypeError> {
+        let mut r = Reader::new(text);
+        let mut fields = Self::default();
+        if r.peek()? == Kind::Obj {
+            let mut keys = r.object()?;
+            while let Some(key) = r.next_key(&mut keys)? {
+                match key.as_ref() {
+                    "schema" => fields.schema = Some(r.value()?),
+                    "version" => fields.version = Some(r.value()?),
+                    "building" => fields.building = Some(r.value()?),
+                    "floors" => fields.floors = Some(r.value()?),
+                    "config" => fields.config = Some(r.value()?),
+                    "gnn" => fields.gnn = Some(r.decode(RfGnn::read)?.map_err(Invalid::from)),
+                    "macs" => fields.macs = Some(r.decode(read_macs)?),
+                    "samples" => fields.samples = Some(r.decode(|r| read_samples(r, "samples"))?),
+                    "references" => {
+                        fields.references = Some(r.decode(|r| read_float_rows(r, "references"))?);
+                    }
+                    "centroids" => {
+                        fields.centroids = Some(r.decode(|r| read_float_rows(r, "centroids"))?);
+                    }
+                    "floor_of_cluster" => {
+                        fields.floor_of_cluster =
+                            Some(r.decode(|r| read_indices(r, "floor_of_cluster"))?);
+                    }
+                    "cluster_order" => {
+                        fields.cluster_order =
+                            Some(r.decode(|r| read_indices(r, "cluster_order"))?);
+                    }
+                    "assignment" => {
+                        fields.assignment = Some(r.decode(|r| read_indices(r, "assignment"))?);
+                    }
+                    "extension" => fields.extension = Some(ExtensionFields::read(&mut r)?),
+                    _ => r.skip()?,
+                }
+            }
+        } else {
+            r.skip()?;
+        }
+        r.finish()?;
+        Ok(fields)
+    }
+}
+
+impl ExtensionFields {
+    /// Reads the `extension` value; one that is not an object holds none
+    /// of the fields.
+    fn read(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        let mut fields = Self::default();
+        if r.peek()? != Kind::Obj {
+            r.skip()?;
+            return Ok(fields);
+        }
+        let mut keys = r.object()?;
+        while let Some(key) = r.next_key(&mut keys)? {
+            match key.as_ref() {
+                "samples" => {
+                    fields.samples = Some(r.decode(|r| read_samples(r, "extension.samples"))?);
+                }
+                "assignment" => {
+                    fields.assignment =
+                        Some(r.decode(|r| read_indices(r, "extension.assignment"))?);
+                }
+                "references" => {
+                    fields.references =
+                        Some(r.decode(|r| read_float_rows(r, "extension.references"))?);
+                }
+                _ => r.skip()?,
+            }
+        }
+        Ok(fields)
+    }
+}
+
+/// A required field: its value, or the `missing field` error.
+fn required<T>(field: Option<T>, key: &str) -> Result<T, FisError> {
+    field.ok_or_else(|| FisError::Model(format!("missing field `{key}`")))
+}
+
+/// The items of an array, each read by `item`; `not_array` is the
+/// message when the value is not an array.
+fn read_array<'a, T>(
+    r: &mut Reader<'a>,
+    not_array: impl FnOnce() -> String,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, Invalid>,
+) -> Result<Vec<T>, Invalid> {
+    if r.peek()? != Kind::Arr {
+        return Err(Invalid(not_array()));
+    }
+    let (mut out, mut items) = (Vec::new(), r.array()?);
+    while r.next_item(&mut items)? {
+        out.push(item(r)?);
+    }
+    Ok(out)
+}
+
+fn read_macs(r: &mut Reader<'_>) -> Result<Vec<MacAddr>, Invalid> {
+    read_array(
+        r,
+        || "`macs` must be an array".into(),
+        |r| Ok(MacAddr::read(r)?),
+    )
+}
+
+fn read_samples(r: &mut Reader<'_>, what: &str) -> Result<Vec<SignalSample>, Invalid> {
+    read_array(
+        r,
+        || format!("`{what}` must be an array"),
+        |r| Ok(SignalSample::read(r)?),
+    )
+}
+
+/// The next value if it is a number, else `None` (left unread).
+fn read_number(r: &mut Reader<'_>) -> Result<Option<f64>, TypeError> {
+    Ok(match r.peek()? {
+        Kind::Num => Some(r.num()?),
+        _ => None,
     })
 }
 
-fn usize_like_array<T>(
-    value: &Json,
-    what: &str,
-    parse: impl Fn(&Json) -> Result<T, FisError>,
-) -> Result<Vec<T>, FisError> {
-    value
-        .as_arr()
-        .ok_or_else(|| FisError::Model(format!("`{what}` must be an array")))?
-        .iter()
-        .map(parse)
-        .collect()
+/// Rows of numbers. Each row starts with room for as many as the row
+/// before it held: rows of one array share their width.
+fn read_float_rows(r: &mut Reader<'_>, what: &str) -> Result<Vec<Vec<f64>>, Invalid> {
+    let mut width = 0;
+    read_array(
+        r,
+        || format!("`{what}` must be an array"),
+        |r| {
+            if r.peek()? != Kind::Arr {
+                return Err(Invalid(format!("`{what}` rows must be arrays")));
+            }
+            let (mut row, mut items) = (Vec::with_capacity(width), r.array()?);
+            while r.next_item(&mut items)? {
+                let x = read_number(r)?
+                    .ok_or_else(|| Invalid(format!("`{what}` entries must be numbers")))?;
+                row.push(x);
+            }
+            width = row.len();
+            Ok(row)
+        },
+    )
 }
 
-fn index_array(value: &Json, what: &str) -> Result<Vec<usize>, FisError> {
-    usize_like_array(value, what, |v| {
-        v.as_usize().ok_or_else(|| {
-            FisError::Model(format!("`{what}` entries must be non-negative integers"))
-        })
-    })
+fn read_indices(r: &mut Reader<'_>, what: &str) -> Result<Vec<usize>, Invalid> {
+    read_array(
+        r,
+        || format!("`{what}` must be an array"),
+        |r| {
+            read_number(r)?
+                .and_then(|n| Json::Num(n).as_usize())
+                .ok_or_else(|| Invalid(format!("`{what}` entries must be non-negative integers")))
+        },
+    )
 }
 
 fn pipeline_config_to_json(config: &FisOneConfig) -> Json {

@@ -38,5 +38,5 @@ pub mod train;
 
 pub use config::RfGnnConfig;
 pub use model::RfGnn;
-pub use persist::{matrix_from_json, matrix_to_json};
+pub use persist::{matrix_to_json, read_matrix};
 pub use train::{TrainReport, STEPS_PER_EPOCH};

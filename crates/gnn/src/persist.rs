@@ -5,10 +5,12 @@
 //! single [`Json`] object. Numbers go through `fis_types::json`'s
 //! shortest-round-trip `f64` codec, so a save → load → save cycle is
 //! byte-identical; the RNG `seed` is stored as a decimal *string* because
-//! a JSON number (f64) cannot represent every `u64` exactly.
+//! a JSON number (f64) cannot represent every `u64` exactly. Loading reads
+//! straight from a [`Reader`] ([`RfGnn::read`], [`read_matrix`]), number by
+//! number, with no [`Json`] tree for the matrices.
 
 use fis_linalg::Matrix;
-use fis_types::json::{FromJson, Json, ToJson};
+use fis_types::json::{missing_field, FromJson, Json, Kind, Reader, ToJson};
 use fis_types::TypeError;
 
 use crate::config::RfGnnConfig;
@@ -27,39 +29,68 @@ pub fn matrix_to_json(m: &Matrix) -> Json {
     ])
 }
 
-/// Parses a matrix written by [`matrix_to_json`].
+/// Reads a matrix written by [`matrix_to_json`] straight from a
+/// reader, its fields in any order (a later duplicate replaces an
+/// earlier one).
 ///
 /// # Errors
 ///
-/// Returns [`TypeError::Io`] when shape fields are missing or the data
-/// length disagrees with `rows * cols`.
-pub fn matrix_from_json(value: &Json) -> Result<Matrix, TypeError> {
-    let rows = value
-        .field("rows")?
+/// Returns [`TypeError::Io`] on a syntax error, a missing or wrongly
+/// typed shape field, or a data length that disagrees with
+/// `rows * cols`.
+pub fn read_matrix(r: &mut Reader<'_>) -> Result<Matrix, TypeError> {
+    let (mut rows, mut cols, mut data) = (None, None, None);
+    if r.peek()? == Kind::Obj {
+        let mut fields = r.object()?;
+        while let Some(key) = r.next_key(&mut fields)? {
+            match key.as_ref() {
+                "rows" => rows = Some(r.value()?),
+                "cols" => cols = Some(r.value()?),
+                "data" => data = Some(r.decode(read_data)?),
+                _ => r.skip()?,
+            }
+        }
+    }
+    let rows = rows
+        .ok_or_else(|| missing_field("rows"))?
         .as_usize()
         .ok_or_else(|| TypeError::Io("matrix rows must be a non-negative integer".to_owned()))?;
-    let cols = value
-        .field("cols")?
+    let cols = cols
+        .ok_or_else(|| missing_field("cols"))?
         .as_usize()
         .ok_or_else(|| TypeError::Io("matrix cols must be a non-negative integer".to_owned()))?;
-    let raw = value
-        .field("data")?
-        .as_arr()
-        .ok_or_else(|| TypeError::Io("matrix data must be an array".to_owned()))?;
-    if raw.len() != rows.saturating_mul(cols) {
+    let (data, non_numbers) = data.ok_or_else(|| missing_field("data"))??;
+    let len = data.len() + non_numbers;
+    if len != rows.saturating_mul(cols) {
         return Err(TypeError::Io(format!(
-            "matrix data length {} does not match {rows}x{cols}",
-            raw.len()
+            "matrix data length {len} does not match {rows}x{cols}"
         )));
     }
-    let mut data = Vec::with_capacity(raw.len());
-    for v in raw {
-        data.push(
-            v.as_f64()
-                .ok_or_else(|| TypeError::Io("matrix data must be numbers".to_owned()))?,
-        );
+    if non_numbers > 0 {
+        return Err(TypeError::Io("matrix data must be numbers".to_owned()));
     }
     Ok(Matrix::from_vec(rows, cols, data))
+}
+
+/// A matrix's `data` array: its numbers, and how many items were not
+/// numbers. Those are counted rather than raised, because the length
+/// check comes first.
+fn read_data(r: &mut Reader<'_>) -> Result<(Vec<f64>, usize), TypeError> {
+    if r.peek()? != Kind::Arr {
+        return Err(TypeError::Io("matrix data must be an array".to_owned()));
+    }
+    let (mut data, mut non_numbers, mut items) = (Vec::new(), 0, r.array()?);
+    while r.next_item(&mut items)? {
+        if r.peek()? == Kind::Num {
+            data.push(r.num()?);
+        } else {
+            r.skip()?;
+            non_numbers += 1;
+        }
+    }
+    // The array grew by doubling; a resident model keeps only its data.
+    data.shrink_to_fit();
+    Ok((data, non_numbers))
 }
 
 fn usize_field(value: &Json, key: &str) -> Result<usize, TypeError> {
@@ -162,20 +193,60 @@ impl ToJson for RfGnn {
     }
 }
 
-impl FromJson for RfGnn {
-    fn from_json(value: &Json) -> Result<Self, TypeError> {
-        let config = RfGnnConfig::from_json(value.field("config")?)?;
-        let features = matrix_from_json(value.field("features")?)?;
-        let weights_raw = value
-            .field("weights")?
-            .as_arr()
-            .ok_or_else(|| TypeError::Io("`weights` must be an array".to_owned()))?;
-        let mut weights = Vec::with_capacity(weights_raw.len());
-        for w in weights_raw {
-            weights.push(matrix_from_json(w)?);
+impl RfGnn {
+    /// Reads a model written by its [`ToJson`] form straight from a
+    /// reader: `config` as a small [`Json`] subtree, the `features` and
+    /// `weights` matrices number by number. Fields come in any order (a
+    /// later duplicate replaces an earlier one).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] on a syntax error, a missing or
+    /// malformed field, or parts that do not form a model.
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        let (mut config, mut features, mut weights) = (None, None, None);
+        if r.peek()? == Kind::Obj {
+            let mut fields = r.object()?;
+            while let Some(key) = r.next_key(&mut fields)? {
+                match key.as_ref() {
+                    "config" => config = Some(r.value()?),
+                    "features" => features = Some(r.decode(read_matrix)?),
+                    "weights" => weights = Some(r.decode(read_weights)?),
+                    _ => r.skip()?,
+                }
+            }
         }
+        let config =
+            RfGnnConfig::from_json(config.as_ref().ok_or_else(|| missing_field("config"))?)?;
+        let features = features.ok_or_else(|| missing_field("features"))??;
+        let weights = weights.ok_or_else(|| missing_field("weights"))??;
         RfGnn::from_parts(config, features, weights).map_err(TypeError::Io)
     }
+
+    /// Parses a model from its JSON text with [`RfGnn::read`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`]: the first syntax error in the text if
+    /// there is one, else the first problem [`RfGnn::read`] finds.
+    pub fn from_json_str(text: &str) -> Result<Self, TypeError> {
+        let mut r = Reader::new(text);
+        let model = r.decode(Self::read)?;
+        r.finish()?;
+        model
+    }
+}
+
+/// The `weights` array of per-hop matrices.
+fn read_weights(r: &mut Reader<'_>) -> Result<Vec<Matrix>, TypeError> {
+    if r.peek()? != Kind::Arr {
+        return Err(TypeError::Io("`weights` must be an array".to_owned()));
+    }
+    let (mut weights, mut items) = (Vec::new(), r.array()?);
+    while r.next_item(&mut items)? {
+        weights.push(read_matrix(r)?);
+    }
+    Ok(weights)
 }
 
 #[cfg(test)]
@@ -223,11 +294,12 @@ mod tests {
 
     #[test]
     fn matrix_codec_rejects_bad_shapes() {
-        assert!(
-            matrix_from_json(&Json::parse(r#"{"rows":2,"cols":2,"data":[1,2,3]}"#).unwrap())
-                .is_err()
-        );
-        assert!(matrix_from_json(&Json::parse(r#"{"rows":1,"data":[1]}"#).unwrap()).is_err());
+        let read = |text| read_matrix(&mut Reader::new(text));
+        assert!(read(r#"{"rows":2,"cols":2,"data":[1,2,3]}"#).is_err());
+        assert!(read(r#"{"rows":1,"data":[1]}"#).is_err());
+        assert!(read(r#"{"rows":1,"cols":2,"data":[1,"2"]}"#).is_err());
+        let m = read(r#"{"data":[1,2],"cols":2,"rows":1}"#).unwrap();
+        assert_eq!((m.shape(), m.as_slice()), ((1, 2), &[1.0, 2.0][..]));
         assert!(RfGnn::from_json_str("{\"config\":{}}").is_err());
     }
 

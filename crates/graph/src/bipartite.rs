@@ -88,19 +88,30 @@ impl BipartiteGraph {
         let n_samples = samples.len();
         let mut mac_index: HashMap<MacAddr, usize> = HashMap::new();
         let mut macs: Vec<MacAddr> = Vec::new();
-        // First pass: intern MACs in first-seen order (deterministic).
+        // First pass: intern MACs in first-seen order (deterministic),
+        // remembering each reading's MAC index and each MAC's degree.
+        let mut interned = Vec::with_capacity(samples.iter().map(SignalSample::len).sum());
+        let mut mac_degree: Vec<usize> = Vec::new();
         for s in samples {
             for (mac, _) in s.iter() {
-                mac_index.entry(mac).or_insert_with(|| {
+                let mi = *mac_index.entry(mac).or_insert_with(|| {
                     macs.push(mac);
+                    mac_degree.push(0);
                     macs.len() - 1
                 });
+                mac_degree[mi] += 1;
+                interned.push(mi);
             }
         }
-        let mut adj: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_samples + macs.len()];
+        let mut adj: Vec<Vec<(usize, f64)>> = samples
+            .iter()
+            .map(|s| Vec::with_capacity(s.len()))
+            .chain(mac_degree.iter().map(|&d| Vec::with_capacity(d)))
+            .collect();
+        let mut interned = interned.into_iter();
         for (si, s) in samples.iter().enumerate() {
-            for (mac, rssi) in s.iter() {
-                let mi = mac_index[&mac];
+            for (_, rssi) in s.iter() {
+                let mi = interned.next().expect("one interned index per reading");
                 let w = rssi.edge_weight_with_offset(offset);
                 adj[si].push((n_samples + mi, w));
                 adj[n_samples + mi].push((si, w));

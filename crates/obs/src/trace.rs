@@ -20,6 +20,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use fis_types::fnv::{fnv1a, FNV_OFFSET};
 use fis_types::json::Json;
 
 use crate::journal;
@@ -29,12 +30,7 @@ use crate::level::{enabled, Level};
 /// style): plain FNV clusters on short common-prefix keys; the finisher
 /// spreads every input bit over the whole output.
 fn hash64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    avalanche(h)
+    avalanche(fnv1a(FNV_OFFSET, bytes))
 }
 
 fn avalanche(mut h: u64) -> u64 {

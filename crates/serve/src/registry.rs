@@ -90,6 +90,7 @@ use std::time::Instant;
 use fis_core::{FisError, FittedModel};
 use fis_metrics::CacheCounters;
 use fis_obs::{self as obs, Level};
+use fis_types::fnv::{fnv1a, FNV_OFFSET};
 use fis_types::{FloorId, SignalSample};
 
 use crate::error::ServeError;
@@ -314,8 +315,10 @@ pub enum Fetch {
 struct LoadTimes {
     /// Waiting on the building's load slot.
     wait_ns: u64,
-    /// This request's own read and parse.
-    load_ns: u64,
+    /// Reading the artifact file.
+    read_ns: u64,
+    /// Decoding and validating the artifact text into a model.
+    decode_ns: u64,
 }
 
 /// What [`ModelRegistry::get`] and [`ModelRegistry::swap`] return.
@@ -576,9 +579,7 @@ impl ModelRegistry {
                 return (Ok(hit), state);
             }
         }
-        let started = Instant::now();
-        let read = self.read_artifact(building);
-        times.load_ns = elapsed_ns(started);
+        let read = self.read_artifact(building, times);
         let mut state = self.lock();
         let (model, bytes) = match read {
             Ok(read) => read,
@@ -611,12 +612,19 @@ impl ModelRegistry {
         (Ok((model, fetch)), state)
     }
 
-    /// Reads and parses `building`'s artifact, returning the model and
-    /// the length of its text. The text is freed here, before the
-    /// caller takes the registry lock.
-    fn read_artifact(&self, building: &str) -> Result<(Arc<FittedModel>, u64), ServeError> {
+    /// Reads and decodes `building`'s artifact, returning the model and
+    /// the length of its text, and timing both steps into `times`. The
+    /// text is freed here, before the caller takes the registry lock.
+    fn read_artifact(
+        &self,
+        building: &str,
+        times: &mut LoadTimes,
+    ) -> Result<(Arc<FittedModel>, u64), ServeError> {
         let path = self.artifact_path(building);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
+        let started = Instant::now();
+        let text = std::fs::read_to_string(&path);
+        times.read_ns = elapsed_ns(started);
+        let text = text.map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 ServeError::UnknownBuilding(format!(
                     "no artifact for `{building}` (expected {})",
@@ -626,8 +634,10 @@ impl ModelRegistry {
                 ServeError::Model(format!("read {} failed: {e}", path.display()))
             }
         })?;
-        let model = parse_artifact(building, &path, &text)?;
-        Ok((Arc::new(model), text.len() as u64))
+        let started = Instant::now();
+        let model = parse_artifact(building, &path, &text);
+        times.decode_ns = elapsed_ns(started);
+        Ok((Arc::new(model?), text.len() as u64))
     }
 }
 
@@ -730,8 +740,9 @@ fn parse_artifact(building: &str, path: &Path, text: &str) -> Result<FittedModel
 
 /// Records one fetch on the request thread, after the lock: cache hits
 /// at trace, disk traffic at info (with the slot wait and the load's own
-/// read + parse time), failures at warn — each event inherits the
-/// enclosing request/assign span.
+/// time: `load_ns`, the sum of `read_ns` for the file and `decode_ns`
+/// for the model), failures at warn — each event inherits the enclosing
+/// request/assign span.
 fn trace_fetch(building: &str, fetched: &Fetched, times: LoadTimes) {
     let (level, name, key, value) = match fetched {
         Ok((_, Fetch::Hit)) => (Level::Trace, "load", "fetch", "hit"),
@@ -744,7 +755,9 @@ fn trace_fetch(building: &str, fetched: &Fetched, times: LoadTimes) {
         .str(key, value);
     if let Ok((_, Fetch::Miss | Fetch::Reload)) = fetched {
         event = event
-            .num("load_ns", times.load_ns as f64)
+            .num("load_ns", (times.read_ns + times.decode_ns) as f64)
+            .num("read_ns", times.read_ns as f64)
+            .num("decode_ns", times.decode_ns as f64)
             .num("wait_ns", times.wait_ns as f64);
     }
     event.emit();
@@ -753,19 +766,6 @@ fn trace_fetch(building: &str, fetched: &Fetched, times: LoadTimes) {
 /// Nanoseconds since `since`, saturating.
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// The FNV-1a offset basis: the starting state for [`fnv1a`].
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// The 64-bit FNV prime.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// Folds `bytes` into a running FNV-1a hash (start from
-/// [`FNV_OFFSET`]). [`ScanKey`]'s reading hash goes through here.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 fn validate_building_id(building: &str) -> Result<(), ServeError> {

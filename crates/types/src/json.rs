@@ -1,11 +1,26 @@
-//! Minimal JSON value type, parser, and writer.
+//! Minimal JSON value type, pull reader, and writer.
 //!
 //! The dataset (de)serialization layer used to lean on `serde_json`; the
 //! build environment vendors no external crates, so this module provides
-//! the small JSON subset the JSONL corpus format needs. Numbers are
-//! `f64` and are written with Rust's shortest-round-trip `Display`, so
-//! `f64` values survive a save/load cycle bit-for-bit.
+//! the small JSON subset the JSONL corpus format, the serving protocol
+//! and the model artifact need. Numbers are `f64` and are written with
+//! Rust's shortest-round-trip `Display`, so `f64` values survive a
+//! save/load cycle bit-for-bit.
+//!
+//! [`Reader`] is the one parser: a pull reader that walks the text once,
+//! token by token, in time linear in its length. The grammar lives there
+//! alone (the number rule, string escapes and surrogate pairs, and the
+//! `json error at byte N` messages). [`Json::parse`] is a thin loop over
+//! it that builds a tree, which suits small documents such as request
+//! frames and corpus lines. Large documents are decoded straight from the
+//! reader into typed values with no tree in between: the model artifact
+//! (`FittedModel::from_json_str` in `fis-core`) reads its scans, matrices
+//! and index arrays this way. [`Reader::decode`] keeps such decoders
+//! faithful to the tree: the first syntax error wins, a shape error waits
+//! until the whole text has parsed, and a later duplicate key replaces an
+//! earlier one.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -35,12 +50,9 @@ impl Json {
     ///
     /// Returns [`TypeError::Io`] describing the first syntax error.
     pub fn parse(text: &str) -> Result<Json, TypeError> {
-        let mut pos = 0;
-        let value = parse_value(text, &mut pos)?;
-        skip_ws(text.as_bytes(), &mut pos);
-        if pos != text.len() {
-            return Err(err(pos, "trailing characters after JSON value"));
-        }
+        let mut reader = Reader::new(text);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 
@@ -92,8 +104,7 @@ impl Json {
     ///
     /// Returns [`TypeError::Io`] naming the missing field.
     pub fn field(&self, key: &str) -> Result<&Json, TypeError> {
-        self.get(key)
-            .ok_or_else(|| TypeError::Io(format!("missing field `{key}`")))
+        self.get(key).ok_or_else(|| missing_field(key))
     }
 
     /// Builds an object from key/value pairs.
@@ -102,216 +113,431 @@ impl Json {
     }
 }
 
+/// The error for a required object field that is absent, shared by
+/// [`Json::field`] and the [`Reader`]-based decoders.
+pub fn missing_field(key: &str) -> TypeError {
+    TypeError::Io(format!("missing field `{key}`"))
+}
+
+#[cold]
 fn err(pos: usize, msg: &str) -> TypeError {
     TypeError::Io(format!("json error at byte {pos}: {msg}"))
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+/// The end of the run of at least one ASCII digit at `start`.
+#[inline]
+fn digits(bytes: &[u8], start: usize) -> Result<usize, TypeError> {
+    let run = bytes[start.min(bytes.len())..]
+        .iter()
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    if run == 0 {
+        return Err(err(start, "expected a digit in number"));
     }
+    Ok(start + run)
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), TypeError> {
-    if *pos < bytes.len() && bytes[*pos] == ch {
-        *pos += 1;
+/// The kind of the next value a [`Reader`] holds, judged by its first
+/// byte. Anything that starts no other kind is a [`Kind::Num`], so the
+/// number rule reports the error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool,
+    /// A number (or a syntax error).
+    Num,
+    /// A string.
+    Str,
+    /// An array.
+    Arr,
+    /// An object.
+    Obj,
+}
+
+/// Where a [`Reader`] is inside one array or object: before its first
+/// entry or after one. Returned by [`Reader::array`] and
+/// [`Reader::object`].
+#[derive(Debug, Clone, Copy)]
+pub struct Seq {
+    first: bool,
+}
+
+/// A pull reader over one JSON text: each call consumes the next token,
+/// so a decoder walks the text once, straight into its own types, with
+/// no [`Json`] tree in between. [`Json::parse`] is built on it, so both
+/// share one grammar and one set of `json error at byte N` messages.
+///
+/// ```
+/// use fis_types::json::{Kind, Reader};
+///
+/// let mut r = Reader::new(r#"{"xs":[1,2.5],"skip":{"a":null}}"#);
+/// let (mut xs, mut fields) = (Vec::new(), r.object()?);
+/// while let Some(key) = r.next_key(&mut fields)? {
+///     if key == "xs" {
+///         let mut items = r.array()?;
+///         while r.next_item(&mut items)? {
+///             xs.push(r.num()?);
+///         }
+///     } else {
+///         r.skip()?;
+///     }
+/// }
+/// r.finish()?;
+/// assert_eq!(xs, [1.0, 2.5]);
+/// # Ok::<(), fis_types::TypeError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self { text, pos: 0 }
+    }
+
+    #[inline]
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        let bytes = self.bytes();
+        while self.pos < bytes.len() && matches!(bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
+            self.pos += 1;
+        }
+    }
+
+    #[inline]
+    fn expect(&mut self, ch: u8) -> Result<(), TypeError> {
+        if self.bytes().get(self.pos) == Some(&ch) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(err(self.pos, &format!("expected `{}`", ch as char)))
+        }
+    }
+
+    /// The kind of the next value, without consuming it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] at the end of the input.
+    #[inline]
+    pub fn peek(&mut self) -> Result<Kind, TypeError> {
+        self.skip_ws();
+        Ok(match self.bytes().get(self.pos) {
+            None => return Err(err(self.pos, "unexpected end of input")),
+            Some(b'{') => Kind::Obj,
+            Some(b'[') => Kind::Arr,
+            Some(b'"') => Kind::Str,
+            Some(b't' | b'f') => Kind::Bool,
+            Some(b'n') => Kind::Null,
+            Some(_) => Kind::Num,
+        })
+    }
+
+    /// Reads the next value as a [`Json`] tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] describing the first syntax error.
+    pub fn value(&mut self) -> Result<Json, TypeError> {
+        Ok(match self.peek()? {
+            Kind::Null => self.literal("null", Json::Null)?,
+            Kind::Bool if self.bytes()[self.pos] == b'f' => {
+                self.literal("false", Json::Bool(false))?
+            }
+            Kind::Bool => self.literal("true", Json::Bool(true))?,
+            Kind::Num => Json::Num(self.num()?),
+            Kind::Str => Json::Str(self.str()?.into_owned()),
+            Kind::Arr => {
+                let (mut items, mut seq) = (Vec::new(), self.array()?);
+                while self.next_item(&mut seq)? {
+                    items.push(self.value()?);
+                }
+                Json::Arr(items)
+            }
+            Kind::Obj => {
+                let (mut map, mut seq) = (BTreeMap::new(), self.object()?);
+                while let Some(key) = self.next_key(&mut seq)? {
+                    let value = self.value()?;
+                    map.insert(key.into_owned(), value);
+                }
+                Json::Obj(map)
+            }
+        })
+    }
+
+    /// Consumes the next value, checking its syntax but keeping nothing.
+    /// Decoders call it on the rare values they do not want (unknown
+    /// keys, wrongly typed values), so it simply drops a [`Json`] tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] describing the first syntax error.
+    pub fn skip(&mut self) -> Result<(), TypeError> {
+        self.value().map(drop)
+    }
+
+    /// Reads the next value with `read`, keeping a *shape* error apart
+    /// from a *syntax* error. If `read` fails, the value is read again
+    /// from its start with [`Reader::skip`]: a syntax error there is
+    /// returned as `Err`, exactly as [`Json::parse`] would report it;
+    /// if the value is well-formed, `read`'s own error comes back as
+    /// `Ok(Err(_))` with the reader past the value. A decoder can hold
+    /// that error in a field slot and raise it only after the whole text
+    /// parsed, so a later duplicate key replaces it, as in a [`Json::Obj`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] describing the first syntax error in
+    /// the value.
+    pub fn decode<T, E>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, E>,
+    ) -> Result<Result<T, E>, TypeError> {
+        let start = self.pos;
+        match read(self) {
+            Ok(value) => Ok(Ok(value)),
+            Err(e) => {
+                self.pos = start;
+                self.skip()?;
+                Ok(Err(e))
+            }
+        }
+    }
+
+    fn literal<T>(&mut self, lit: &str, value: T) -> Result<T, TypeError> {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(err(self.pos, &format!("expected `{lit}`")))
+        }
+    }
+
+    /// Reads a number per the JSON grammar
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, rejecting
+    /// values that overflow to infinity (the writer never emits them).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] if the next value is not such a number.
+    #[inline]
+    pub fn num(&mut self) -> Result<f64, TypeError> {
+        self.skip_ws();
+        let bytes = self.bytes();
+        let start = self.pos;
+        let mut pos = start;
+        if bytes.get(pos) == Some(&b'-') {
+            pos += 1;
+        }
+        match bytes.get(pos) {
+            Some(b'0') => pos += 1,
+            Some(b'1'..=b'9') => pos = digits(bytes, pos)?,
+            _ => return Err(err(pos, "expected a digit in number")),
+        }
+        if bytes.get(pos) == Some(&b'.') {
+            pos = digits(bytes, pos + 1)?;
+        }
+        if matches!(bytes.get(pos), Some(b'e' | b'E')) {
+            pos += 1;
+            if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+                pos += 1;
+            }
+            pos = digits(bytes, pos)?;
+        }
+        self.pos = pos;
+        let literal = &self.text[start..pos];
+        match literal.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(n),
+            _ => Err(err(start, &format!("number `{literal}` out of range"))),
+        }
+    }
+
+    /// Reads a string, borrowed from the text unless it holds an escape.
+    ///
+    /// Linear in the string's length: each run of bytes up to the next
+    /// `"` or `\` is taken as one slice. Both delimiters are ASCII, so
+    /// run boundaries are always char boundaries of the (already valid
+    /// UTF-8) input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] if the next value is not a well-formed
+    /// string.
+    #[inline]
+    pub fn str(&mut self) -> Result<Cow<'a, str>, TypeError> {
+        self.skip_ws();
+        self.expect(b'"')?;
+        let text = self.text;
+        let bytes = self.bytes();
+        let mut out = String::new();
+        loop {
+            let run = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| err(bytes.len(), "unterminated string"))?;
+            let slice = &text[self.pos..self.pos + run];
+            self.pos += run;
+            if bytes[self.pos] == b'"' {
+                self.pos += 1;
+                if out.is_empty() {
+                    return Ok(Cow::Borrowed(slice));
+                }
+                out.push_str(slice);
+                return Ok(Cow::Owned(out));
+            }
+            out.push_str(slice);
+            self.pos += 1;
+            let escape = *bytes
+                .get(self.pos)
+                .ok_or_else(|| err(self.pos, "unterminated escape"))?;
+            self.pos += 1;
+            match escape {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let code = self.hex4()?;
+                    let scalar = if (0xD800..0xDC00).contains(&code) {
+                        // High surrogate: a \uXXXX low surrogate must
+                        // follow (standard JSON pair encoding).
+                        if bytes.get(self.pos) != Some(&b'\\')
+                            || bytes.get(self.pos + 1) != Some(&b'u')
+                        {
+                            return Err(err(self.pos, "high surrogate not followed by \\u"));
+                        }
+                        self.pos += 2;
+                        let low = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&low) {
+                            return Err(err(self.pos, "invalid low surrogate"));
+                        }
+                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                    } else if (0xDC00..0xE000).contains(&code) {
+                        return Err(err(self.pos, "unpaired low surrogate"));
+                    } else {
+                        code
+                    };
+                    out.push(
+                        char::from_u32(scalar)
+                            .ok_or_else(|| err(self.pos, "invalid unicode escape"))?,
+                    );
+                }
+                other => return Err(err(self.pos, &format!("bad escape `\\{}`", other as char))),
+            }
+        }
+    }
+
+    fn hex4(&mut self) -> Result<u32, TypeError> {
+        let hex = self
+            .bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| err(self.pos, "truncated \\u escape"))?;
+        let hex = std::str::from_utf8(hex).map_err(|_| err(self.pos, "bad \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| err(self.pos, "bad \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Enters an array: consumes its `[`. Walk its items with
+    /// [`Reader::next_item`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] if the next value is not an array.
+    #[inline]
+    pub fn array(&mut self) -> Result<Seq, TypeError> {
+        self.skip_ws();
+        self.expect(b'[')?;
+        Ok(Seq { first: true })
+    }
+
+    /// Moves to the array's next item: `true` if one follows (read it
+    /// next), `false` once the closing `]` is consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] if neither an item nor the end follows.
+    #[inline]
+    pub fn next_item(&mut self, seq: &mut Seq) -> Result<bool, TypeError> {
+        self.skip_ws();
+        let next = self.bytes().get(self.pos).copied();
+        if next == Some(b']') {
+            self.pos += 1;
+            return Ok(false);
+        }
+        if std::mem::take(&mut seq.first) {
+            return Ok(true);
+        }
+        if next == Some(b',') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        Err(err(self.pos, "expected `,` or `]` in array"))
+    }
+
+    /// Enters an object: consumes its `{`. Walk its fields with
+    /// [`Reader::next_key`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] if the next value is not an object.
+    #[inline]
+    pub fn object(&mut self) -> Result<Seq, TypeError> {
+        self.skip_ws();
+        self.expect(b'{')?;
+        Ok(Seq { first: true })
+    }
+
+    /// Moves to the object's next field: its key, with the `:` after it
+    /// consumed (read the value next), or `None` once the closing `}`
+    /// is consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] if neither a field nor the end follows.
+    pub fn next_key(&mut self, seq: &mut Seq) -> Result<Option<Cow<'a, str>>, TypeError> {
+        self.skip_ws();
+        let next = self.bytes().get(self.pos).copied();
+        if next == Some(b'}') {
+            self.pos += 1;
+            return Ok(None);
+        }
+        if !std::mem::take(&mut seq.first) {
+            if next != Some(b',') {
+                return Err(err(self.pos, "expected `,` or `}` in object"));
+            }
+            self.pos += 1;
+        }
+        let key = self.str()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Ends the document: only whitespace may follow the value read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] on trailing characters.
+    pub fn finish(mut self) -> Result<(), TypeError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(err(self.pos, "trailing characters after JSON value"));
+        }
         Ok(())
-    } else {
-        Err(err(*pos, &format!("expected `{}`", ch as char)))
-    }
-}
-
-fn parse_value(text: &str, pos: &mut usize) -> Result<Json, TypeError> {
-    let bytes = text.as_bytes();
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(text, pos),
-        Some(b'[') => parse_array(text, pos),
-        Some(b'"') => parse_string(text, pos).map(Json::Str),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(text, pos),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, TypeError> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(err(*pos, &format!("expected `{lit}`")))
-    }
-}
-
-/// Parses a number per the JSON grammar
-/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, rejecting
-/// values that overflow to infinity (the writer never emits them).
-fn parse_number(text: &str, pos: &mut usize) -> Result<Json, TypeError> {
-    let bytes = text.as_bytes();
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    match bytes.get(*pos) {
-        Some(b'0') => *pos += 1,
-        Some(b'1'..=b'9') => expect_digits(bytes, pos)?,
-        _ => return Err(err(*pos, "expected a digit in number")),
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        expect_digits(bytes, pos)?;
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        expect_digits(bytes, pos)?;
-    }
-    let literal = &text[start..*pos];
-    match literal.parse::<f64>() {
-        Ok(n) if n.is_finite() => Ok(Json::Num(n)),
-        _ => Err(err(start, &format!("number `{literal}` out of range"))),
-    }
-}
-
-/// Consumes a run of at least one ASCII digit.
-fn expect_digits(bytes: &[u8], pos: &mut usize) -> Result<(), TypeError> {
-    let start = *pos;
-    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-    }
-    if *pos == start {
-        return Err(err(*pos, "expected a digit in number"));
-    }
-    Ok(())
-}
-
-/// Parses a string literal in time linear in its length: each run of
-/// bytes up to the next `"` or `\` is copied as one slice. Both
-/// delimiters are ASCII, so run boundaries are always char boundaries of
-/// the (already valid UTF-8) input.
-fn parse_string(text: &str, pos: &mut usize) -> Result<String, TypeError> {
-    let bytes = text.as_bytes();
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        let run = bytes[*pos..]
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\')
-            .ok_or_else(|| err(bytes.len(), "unterminated string"))?;
-        out.push_str(&text[*pos..*pos + run]);
-        *pos += run;
-        if bytes[*pos] == b'"' {
-            *pos += 1;
-            return Ok(out);
-        }
-        *pos += 1;
-        let escape = bytes
-            .get(*pos)
-            .ok_or_else(|| err(*pos, "unterminated escape"))?;
-        *pos += 1;
-        match escape {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{0008}'),
-            b'f' => out.push('\u{000C}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
-            b'u' => {
-                let code = parse_hex4(bytes, pos)?;
-                let scalar = if (0xD800..0xDC00).contains(&code) {
-                    // High surrogate: a \uXXXX low surrogate must
-                    // follow (standard JSON pair encoding).
-                    if bytes.get(*pos) != Some(&b'\\') || bytes.get(*pos + 1) != Some(&b'u') {
-                        return Err(err(*pos, "high surrogate not followed by \\u"));
-                    }
-                    *pos += 2;
-                    let low = parse_hex4(bytes, pos)?;
-                    if !(0xDC00..0xE000).contains(&low) {
-                        return Err(err(*pos, "invalid low surrogate"));
-                    }
-                    0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                } else if (0xDC00..0xE000).contains(&code) {
-                    return Err(err(*pos, "unpaired low surrogate"));
-                } else {
-                    code
-                };
-                out.push(
-                    char::from_u32(scalar).ok_or_else(|| err(*pos, "invalid unicode escape"))?,
-                );
-            }
-            other => return Err(err(*pos, &format!("bad escape `\\{}`", *other as char))),
-        }
-    }
-}
-
-fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, TypeError> {
-    let hex = bytes
-        .get(*pos..*pos + 4)
-        .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-    let hex = std::str::from_utf8(hex).map_err(|_| err(*pos, "bad \\u escape"))?;
-    let code = u32::from_str_radix(hex, 16).map_err(|_| err(*pos, "bad \\u escape"))?;
-    *pos += 4;
-    Ok(code)
-}
-
-fn parse_array(text: &str, pos: &mut usize) -> Result<Json, TypeError> {
-    let bytes = text.as_bytes();
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(text, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(err(*pos, "expected `,` or `]` in array")),
-        }
-    }
-}
-
-fn parse_object(text: &str, pos: &mut usize) -> Result<Json, TypeError> {
-    let bytes = text.as_bytes();
-    expect(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(text, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(text, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            _ => return Err(err(*pos, "expected `,` or `}` in object")),
-        }
     }
 }
 
@@ -574,6 +800,44 @@ mod tests {
         assert!(Json::parse("\"\\ud83d\"").is_err()); // unpaired high
         assert!(Json::parse("\"\\ude00\"").is_err()); // unpaired low
         assert!(Json::parse("\"\\ud83dx\"").is_err()); // high + garbage
+    }
+
+    #[test]
+    fn reader_decode_keeps_shape_errors_apart_from_syntax_errors() {
+        let numbers = |r: &mut Reader| -> Result<Vec<f64>, &'static str> {
+            let mut items = r.array().map_err(|_| "not an array")?;
+            let mut out = Vec::new();
+            while r.next_item(&mut items).map_err(|_| "syntax")? {
+                match r.peek().map_err(|_| "syntax")? {
+                    Kind::Num => out.push(r.num().map_err(|_| "syntax")?),
+                    _ => return Err("not a number"),
+                }
+            }
+            Ok(out)
+        };
+        // A well-formed value of the wrong shape: the decoder's error,
+        // with the reader past the value.
+        let mut r = Reader::new(r#"[[1,"x",{"a":[]}],[2]]"#);
+        let mut items = r.array().unwrap();
+        assert!(r.next_item(&mut items).unwrap());
+        assert_eq!(r.decode(numbers).unwrap(), Err("not a number"));
+        assert!(r.next_item(&mut items).unwrap());
+        assert_eq!(r.decode(numbers).unwrap(), Ok(vec![2.0]));
+        assert!(!r.next_item(&mut items).unwrap());
+        r.finish().unwrap();
+        // A syntax error anywhere in the value, even past a shape error:
+        // exactly what `Json::parse` reports.
+        for text in [r#"[1,"x",]"#, r#"[1,2"#, r#"[1,"x" 2]"#, "[1,01]"] {
+            let got = Reader::new(text).decode(numbers).unwrap_err();
+            assert_eq!(got, Json::parse(text).unwrap_err(), "{text}");
+        }
+        // Strings borrow from the text unless they hold an escape.
+        let mut r = Reader::new(r#"["plain","esc\u0041ped"]"#);
+        let mut items = r.array().unwrap();
+        r.next_item(&mut items).unwrap();
+        assert!(matches!(r.str().unwrap(), Cow::Borrowed("plain")));
+        r.next_item(&mut items).unwrap();
+        assert!(matches!(r.str().unwrap(), Cow::Owned(s) if s == "escAped"));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::error::TypeError;
-use crate::json::{FromJson, Json, ToJson};
+use crate::json::{FromJson, Json, Kind, Reader, ToJson};
 
 /// A 48-bit media access control address identifying one AP radio.
 ///
@@ -68,17 +68,39 @@ impl fmt::Display for MacAddr {
 impl FromStr for MacAddr {
     type Err = TypeError;
 
+    /// Parses six `:`-separated hex octets in place, with no allocation
+    /// unless it fails.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = s.split(':').collect();
-        if parts.len() != 6 {
-            return Err(TypeError::ParseMac(s.to_owned()));
-        }
+        let bad = || TypeError::ParseMac(s.to_owned());
+        let mut parts = s.as_bytes().split(|&b| b == b':');
         let mut octets = [0u8; 6];
-        for (i, p) in parts.iter().enumerate() {
-            octets[i] = u8::from_str_radix(p, 16).map_err(|_| TypeError::ParseMac(s.to_owned()))?;
+        for octet in &mut octets {
+            *octet = parts.next().and_then(octet_of).ok_or_else(bad)?;
+        }
+        if parts.next().is_some() {
+            return Err(bad());
         }
         Ok(Self(octets))
     }
+}
+
+/// One octet as `u8::from_str_radix(part, 16)` reads it: an optional
+/// leading `+`, then one or more hex digits of either case (zero
+/// padding allowed) worth at most 255.
+fn octet_of(part: &[u8]) -> Option<u8> {
+    let digits = part.strip_prefix(b"+").unwrap_or(part);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u8, |octet, &digit| {
+        let nibble = match digit {
+            b'0'..=b'9' => digit - b'0',
+            b'a'..=b'f' => digit - b'a' + 10,
+            b'A'..=b'F' => digit - b'A' + 10,
+            _ => return None,
+        };
+        octet.checked_mul(16)?.checked_add(nibble)
+    })
 }
 
 impl From<[u8; 6]> for MacAddr {
@@ -93,12 +115,35 @@ impl ToJson for MacAddr {
     }
 }
 
+impl MacAddr {
+    /// A MAC from its wire form, a JSON string; `None` when the value
+    /// was not a string. The one rule behind [`FromJson`] and
+    /// [`MacAddr::read`].
+    pub(crate) fn from_wire(text: Option<&str>) -> Result<Self, TypeError> {
+        text.ok_or_else(|| TypeError::Io("MAC address must be a JSON string".to_owned()))?
+            .parse()
+    }
+
+    /// Reads a MAC string straight from a [`Reader`], borrowing the
+    /// text instead of copying it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError`] on a syntax error, a value that is not a
+    /// string, or bad MAC syntax. A wrongly typed value is left unread;
+    /// [`Reader::decode`] skips it.
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        let text = match r.peek()? {
+            Kind::Str => Some(r.str()?),
+            _ => None,
+        };
+        Self::from_wire(text.as_deref())
+    }
+}
+
 impl FromJson for MacAddr {
     fn from_json(value: &Json) -> Result<Self, TypeError> {
-        value
-            .as_str()
-            .ok_or_else(|| TypeError::Io("MAC address must be a JSON string".to_owned()))?
-            .parse()
+        Self::from_wire(value.as_str())
     }
 }
 
@@ -119,6 +164,69 @@ mod tests {
         assert!("aa:bb:cc:dd:ee".parse::<MacAddr>().is_err());
         assert!("aa:bb:cc:dd:ee:gg".parse::<MacAddr>().is_err());
         assert!("aa-bb-cc-dd-ee-ff".parse::<MacAddr>().is_err());
+    }
+
+    /// The parser this module used to have (split into a `Vec`, then
+    /// `u8::from_str_radix` per part): the reference for what
+    /// [`MacAddr::from_str`] must accept and reject.
+    fn reference_from_str(s: &str) -> Option<[u8; 6]> {
+        let parts: Vec<&str> = s.split(':').collect();
+        if parts.len() != 6 {
+            return None;
+        }
+        let mut octets = [0u8; 6];
+        for (i, p) in parts.iter().enumerate() {
+            octets[i] = u8::from_str_radix(p, 16).ok()?;
+        }
+        Some(octets)
+    }
+
+    #[test]
+    fn parse_accepts_exactly_what_the_reference_parser_does() {
+        let table = [
+            "00:1a:2b:3c:4d:5e",
+            "AA:BB:CC:DD:EE:FF",
+            "aA:Bb:0c:D:e:f",
+            "0:0:0:0:0:0",
+            "000000ff:01:02:03:04:05",
+            "+a:+0b:1:2:3:4",
+            "+:1:2:3:4:5",
+            "++1:1:2:3:4:5",
+            "-1:1:2:3:4:5",
+            "100:1:2:3:4:5",
+            "ff:ff:ff:ff:ff:fff",
+            "ff:ff:ff:ff:ff:0ff",
+            ":1:2:3:4:5",
+            "1:2:3:4:5:",
+            "1:2:3:4:5:6:",
+            "1:2:3:4:5:6:7",
+            "1:2:3:4:5",
+            "1::3:4:5:6",
+            " 1:2:3:4:5:6",
+            "1:2:3:4:5:6 ",
+            "g:2:3:4:5:6",
+            "é:2:3:4:5:6",
+            "１:2:3:4:5:6",
+            "0x1:2:3:4:5:6",
+            "",
+            ":::::",
+            "aa-bb-cc-dd-ee-ff",
+        ];
+        for text in table {
+            let parsed = text.parse::<MacAddr>().ok().map(|m| m.octets());
+            assert_eq!(parsed, reference_from_str(text), "{text:?}");
+        }
+        // Every short octet spelling over a small alphabet, in one slot.
+        let alphabet = ["", "0", "1", "f", "F", "g", "+", "-", ":", " "];
+        for a in alphabet {
+            for b in alphabet {
+                for c in alphabet {
+                    let text = format!("{a}{b}{c}:1:2:3:4:5");
+                    let parsed = text.parse::<MacAddr>().ok().map(|m| m.octets());
+                    assert_eq!(parsed, reference_from_str(&text), "{text:?}");
+                }
+            }
+        }
     }
 
     #[test]

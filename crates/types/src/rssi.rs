@@ -97,12 +97,17 @@ impl ToJson for Rssi {
     }
 }
 
+impl Rssi {
+    /// A reading from its wire form, a JSON number; `None` when the
+    /// value was not a number.
+    pub(crate) fn from_wire(dbm: Option<f64>) -> Result<Self, TypeError> {
+        Rssi::new(dbm.ok_or_else(|| TypeError::Io("RSSI must be a JSON number".to_owned()))?)
+    }
+}
+
 impl FromJson for Rssi {
     fn from_json(value: &Json) -> Result<Self, TypeError> {
-        let dbm = value
-            .as_f64()
-            .ok_or_else(|| TypeError::Io("RSSI must be a JSON number".to_owned()))?;
-        Rssi::new(dbm)
+        Self::from_wire(value.as_f64())
     }
 }
 

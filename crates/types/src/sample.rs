@@ -1,7 +1,9 @@
 //! Crowdsourced RF signal samples (records).
 
+use std::borrow::Cow;
+
 use crate::error::TypeError;
-use crate::json::{FromJson, Json, ToJson};
+use crate::json::{missing_field, FromJson, Json, Kind, Reader, ToJson};
 use crate::mac::MacAddr;
 use crate::rssi::Rssi;
 
@@ -145,36 +147,141 @@ impl ToJson for SignalSample {
 
 impl FromJson for SignalSample {
     fn from_json(value: &Json) -> Result<Self, TypeError> {
-        // Ids ride the wire as JSON numbers (f64): anything past 2^32-1
-        // is rejected here, *before* any floor-identification work, so
-        // an id can never silently lose precision at the f64 boundary
-        // (2^53) and collide with another scan's id in a response.
-        let id = value
-            .field("id")?
-            .as_usize()
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| {
-                TypeError::Io(format!(
-                    "sample id must be an integer in 0..=4294967295, got {}",
-                    value
-                        .field("id")
-                        .map_or_else(|_| "nothing".into(), Json::to_string)
-                ))
-            })?;
-        let mut builder = SignalSample::builder(id);
-        for pair in value
+        let id = scan_id(value.get("id"))?;
+        let readings = value
             .field("readings")?
             .as_arr()
-            .ok_or_else(|| TypeError::Io("readings must be an array".to_owned()))?
-        {
-            let pair = pair
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| TypeError::Io("reading must be a [mac, rssi] pair".to_owned()))?;
-            builder = builder.reading(MacAddr::from_json(&pair[0])?, Rssi::from_json(&pair[1])?);
+            .ok_or_else(readings_not_array)?
+            .iter()
+            .map(|pair| {
+                reading(
+                    pair.as_arr()
+                        .filter(|p| p.len() == 2)
+                        .map(|p| (p[0].as_str(), p[1].as_f64())),
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(SignalSampleBuilder {
+            id: SampleId(id),
+            readings,
         }
-        Ok(builder.build())
+        .build())
     }
+}
+
+impl SignalSample {
+    /// Reads one scan straight from a [`Reader`], each `[mac, rssi]`
+    /// pair going into the sample with no [`Json`] tree in between. It
+    /// accepts exactly the scans [`FromJson`] does, with the same
+    /// messages, in any key order; a later duplicate key replaces an
+    /// earlier one, as in a [`Json::Obj`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError`] on a syntax error or a scan that breaks the
+    /// id or pair rule. A wrongly typed value may be left partly read;
+    /// [`Reader::decode`] skips it.
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        let (mut id, mut readings) = (None, None);
+        if r.peek()? == Kind::Obj {
+            let mut fields = r.object()?;
+            while let Some(key) = r.next_key(&mut fields)? {
+                match key.as_ref() {
+                    "id" => id = Some(r.value()?),
+                    "readings" => readings = Some(r.decode(read_readings)?),
+                    _ => r.skip()?,
+                }
+            }
+        }
+        let id = scan_id(id.as_ref())?;
+        let readings = readings.ok_or_else(|| missing_field("readings"))??;
+        Ok(SignalSampleBuilder {
+            id: SampleId(id),
+            readings,
+        }
+        .build())
+    }
+}
+
+/// The id rule, shared by both scan decoders. Ids ride the wire as JSON
+/// numbers (f64): anything past 2^32-1 is rejected here, *before* any
+/// floor-identification work, so an id can never silently lose
+/// precision at the f64 boundary (2^53) and collide with another scan's
+/// id in a response.
+fn scan_id(id: Option<&Json>) -> Result<u32, TypeError> {
+    let id = id.ok_or_else(|| missing_field("id"))?;
+    id.as_usize()
+        .and_then(|v| u32::try_from(v).ok())
+        .ok_or_else(|| {
+            TypeError::Io(format!(
+                "sample id must be an integer in 0..=4294967295, got {id}"
+            ))
+        })
+}
+
+fn readings_not_array() -> TypeError {
+    TypeError::Io("readings must be an array".to_owned())
+}
+
+/// The pair rule, shared by both scan decoders: a reading is a
+/// two-item array (`None` when it was not) of a MAC string and an RSSI
+/// number (each `None` when of another JSON type).
+fn reading(pair: Option<(Option<&str>, Option<f64>)>) -> Result<(MacAddr, Rssi), TypeError> {
+    let (mac, rssi) =
+        pair.ok_or_else(|| TypeError::Io("reading must be a [mac, rssi] pair".to_owned()))?;
+    Ok((MacAddr::from_wire(mac)?, Rssi::from_wire(rssi)?))
+}
+
+/// A scan's `readings` array, pair by pair through [`reading`].
+fn read_readings(r: &mut Reader<'_>) -> Result<Vec<(MacAddr, Rssi)>, TypeError> {
+    if r.peek()? != Kind::Arr {
+        return Err(readings_not_array());
+    }
+    let (mut readings, mut pairs) = (Vec::new(), r.array()?);
+    while r.next_item(&mut pairs)? {
+        let pair = read_pair(r)?;
+        readings.push(reading(
+            pair.as_ref().map(|(mac, rssi)| (mac.as_deref(), *rssi)),
+        )?);
+    }
+    Ok(readings)
+}
+
+/// The items of a two-item `[mac, rssi]` array, each `None` when of
+/// another JSON type.
+type Pair<'a> = (Option<Cow<'a, str>>, Option<f64>);
+
+/// One `readings` item, typed the way [`reading`] takes it: `None` when
+/// it is not a two-item array.
+fn read_pair<'a>(r: &mut Reader<'a>) -> Result<Option<Pair<'a>>, TypeError> {
+    if r.peek()? != Kind::Arr {
+        return Ok(None);
+    }
+    let mut items = r.array()?;
+    if !r.next_item(&mut items)? {
+        return Ok(None);
+    }
+    let mac = match r.peek()? {
+        Kind::Str => Some(r.str()?),
+        _ => {
+            r.skip()?;
+            None
+        }
+    };
+    if !r.next_item(&mut items)? {
+        return Ok(None);
+    }
+    let rssi = match r.peek()? {
+        Kind::Num => Some(r.num()?),
+        _ => {
+            r.skip()?;
+            None
+        }
+    };
+    if r.next_item(&mut items)? {
+        return Ok(None);
+    }
+    Ok(Some((mac, rssi)))
 }
 
 /// Builder for [`SignalSample`]; see [`SignalSample::builder`].

@@ -255,3 +255,102 @@ fn duplicate_macs_within_scan_are_collapsed() {
         Some(Rssi::new(-40.0).unwrap())
     );
 }
+
+/// The error a model load must give for `text`: the syntax error
+/// `Json::parse` reports, if the text has one.
+fn syntax_error(text: &str) -> Option<FisError> {
+    Json::parse(text)
+        .err()
+        .map(|e| FisError::Model(e.to_string()))
+}
+
+#[test]
+fn artifact_cut_or_corrupted_at_64_offsets_is_a_typed_error() {
+    let text = fitted().to_json_string();
+    assert!(text.is_ascii(), "offsets below assume one byte per char");
+    let offsets: Vec<usize> = (0..64).map(|i| i * text.len() / 64).collect();
+    for &cut in &offsets {
+        let prefix = &text[..cut];
+        let err = FittedModel::from_json_str(prefix).unwrap_err();
+        assert!(matches!(err, FisError::Model(_)), "cut at {cut} -> {err}");
+        assert_eq!(Some(err), syntax_error(prefix), "cut at {cut}");
+    }
+    // One byte replaced by a quote (by `#` where it already is one):
+    // every string, key, number and delimiter of a valid artifact is
+    // broken by that, including the `building` name.
+    for &at in &offsets {
+        let mut bytes = text.clone().into_bytes();
+        bytes[at] = if bytes[at] == b'"' { b'#' } else { b'"' };
+        let corrupted = String::from_utf8(bytes).unwrap();
+        let err = FittedModel::from_json_str(&corrupted).unwrap_err();
+        assert!(matches!(err, FisError::Model(_)), "byte {at} -> {err}");
+        if let Some(syntax) = syntax_error(&corrupted) {
+            assert_eq!(err, syntax, "byte {at}");
+        }
+    }
+}
+
+/// `value` written with its object keys in reverse order, recursing
+/// into the objects named in `nested`.
+fn reversed(value: &Json, nested: &[&str]) -> String {
+    let Json::Obj(map) = value else {
+        return value.to_string();
+    };
+    let fields: Vec<String> = map
+        .iter()
+        .rev()
+        .map(|(key, v)| {
+            let v = if nested.contains(&key.as_str()) {
+                reversed(v, &[])
+            } else {
+                v.to_string()
+            };
+            format!("{}:{v}", Json::Str(key.clone()))
+        })
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
+#[test]
+fn artifact_keys_in_any_order_load_and_save_byte_identically() {
+    let text = fitted().to_json_string();
+    let reordered = reversed(&Json::parse(&text).unwrap(), &["gnn"]);
+    assert_ne!(reordered, text);
+    assert!(
+        reordered.starts_with("{\"version\":"),
+        "{}",
+        &reordered[..40]
+    );
+    let loaded = FittedModel::from_json_str(&reordered).unwrap();
+    assert_eq!(loaded.to_json_string(), text);
+}
+
+#[test]
+fn unknown_artifact_keys_are_ignored() {
+    let text = fitted().to_json_string();
+    let extra = format!(
+        "{{\"aaa\":1,\"zzz\":{{\"nested\":[1,\"x\",null,true]}},{}",
+        &text[1..]
+    );
+    let loaded = FittedModel::from_json_str(&extra).unwrap();
+    assert_eq!(loaded.to_json_string(), text);
+}
+
+#[test]
+fn escaped_building_name_decodes_like_json_parse() {
+    let text = fitted().to_json_string();
+    let needle = format!("\"building\":\"{}\"", fitted().building());
+    assert!(text.contains(&needle));
+    let escaped = text.replacen(
+        &needle,
+        &format!("\"building\":\"\\u0041{}\"", fitted().building()),
+        1,
+    );
+    let want = Json::parse(&escaped).unwrap();
+    let loaded = FittedModel::from_json_str(&escaped).unwrap();
+    assert_eq!(
+        Some(loaded.building()),
+        want.field("building").unwrap().as_str()
+    );
+    assert_eq!(loaded.building(), format!("A{}", fitted().building()));
+}

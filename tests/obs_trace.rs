@@ -250,7 +250,7 @@ fn journals_reconstruct_client_traced_requests_and_answers_stay_bit_identical() 
         assert!(registry_hop, "no registry event joined trace {trace}");
     }
     // The reload inside an answer-cached assign leaves its `load` event,
-    // timed: its own read + hash + parse, and its wait on the slot.
+    // timed: its own read and decode, their sum, and its wait on the slot.
     let misses: Vec<&Json> = find(&events, "registry", "load")
         .into_iter()
         .filter(|e| field(e, "building") == Some(building.name()))
@@ -270,6 +270,18 @@ fn journals_reconstruct_client_traced_requests_and_answers_stay_bit_identical() 
     assert!(
         nanos("wait_ns").is_some_and(|ns| ns >= 0.0),
         "miss without a slot wait: {}",
+        misses[0]
+    );
+    let (read, decode) = (nanos("read_ns"), nanos("decode_ns"));
+    assert!(
+        read.is_some_and(|ns| ns >= 0.0) && decode.is_some_and(|ns| ns > 0.0),
+        "miss without read and decode times: {}",
+        misses[0]
+    );
+    assert_eq!(
+        nanos("load_ns"),
+        Some(read.unwrap() + decode.unwrap()),
+        "load_ns is not read_ns + decode_ns: {}",
         misses[0]
     );
 
