@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fis_core::indexing::{index_clusters, TspSolver};
 use fis_core::similarity::{adapted_jaccard, plain_jaccard, ClusterMacProfile};
-use fis_gnn::{RfGnn, RfGnnConfig};
+use fis_gnn::RfGnnConfig;
 use fis_graph::{cooccurrence_pairs, random_walks, BipartiteGraph, WalkStrategy};
 use fis_synth::BuildingConfig;
 use rand::SeedableRng;
@@ -172,8 +172,8 @@ fn bench_random_walks(c: &mut Criterion) {
 
 /// A default-config fit of a 2000-scan building (5 floors x 400 scans,
 /// the `io/corpus_parse` corpus) on one thread, as `fis-one fit
-/// --threads 1` runs it: graph, RF-GNN training, clustering, TSP order,
-/// reference embeddings and VP-tree. Training is nearly all of it.
+/// --threads 1` runs it: graph, RF-GNN training, embedding, clustering,
+/// TSP order and VP-tree. Training is nearly all of it.
 fn bench_fit(c: &mut Criterion) {
     let corpus = fis_types::Dataset::new("bench", vec![building_2000()]);
     let engine = fis_core::FisEngine::new(fis_core::EngineConfig::default().threads(1));
@@ -223,22 +223,6 @@ fn bench_assign_stream(c: &mut Criterion) {
             assert!(answers.iter().all(Result::is_ok), "every scan answers");
             answers
         })
-    });
-    group.finish();
-}
-
-fn bench_gnn_embedding(c: &mut Criterion) {
-    let b = bench_building();
-    let graph = BipartiteGraph::from_samples(b.samples()).unwrap();
-    let config = RfGnnConfig::new(8)
-        .epochs(1)
-        .walks_per_node(2)
-        .neighbor_samples(vec![5, 3]);
-    let model = RfGnn::train(&graph, &config).unwrap();
-    let mut group = c.benchmark_group("gnn");
-    group.sample_size(10);
-    group.bench_function("embed_samples(240)", |bench| {
-        bench.iter(|| model.embed_samples(std::hint::black_box(&graph)))
     });
     group.finish();
 }
@@ -578,7 +562,6 @@ criterion_group!(
     bench_random_walks,
     bench_fit,
     bench_assign_stream,
-    bench_gnn_embedding,
     bench_clustering,
     bench_assign,
     bench_tsp,

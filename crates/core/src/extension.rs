@@ -45,7 +45,7 @@ use fis_types::{FloorId, LabeledAnchor, MacAddr, SignalSample};
 
 use crate::error::FisError;
 use crate::indexing::solve_path;
-use crate::model::{known_neighbors, scan_seed};
+use crate::model::{embed_scans, index_macs};
 use crate::nn::VpTree;
 use crate::pipeline::{FisOne, FloorPrediction};
 use crate::similarity::{similarity_matrix, ClusterMacProfile};
@@ -277,7 +277,6 @@ pub(crate) fn build_extended_state(
     base_samples: &[SignalSample],
     base_macs: &[MacAddr],
     base_gnn: &RfGnn,
-    seed: u64,
     ext_samples: Vec<SignalSample>,
     ext_assignment: Vec<usize>,
     stored_references: Option<Vec<Vec<f64>>>,
@@ -321,8 +320,7 @@ pub(crate) fn build_extended_state(
     // Synthesized rows for extension scans: f(RSS)-weighted mean of their
     // *base* MAC features (the frozen anchor that makes this well-defined),
     // l2-normalized like every inference embedding.
-    let base_index: HashMap<MacAddr, usize> =
-        base_macs.iter().enumerate().map(|(j, &m)| (m, j)).collect();
+    let base_index = index_macs(base_macs);
     for (k, scan) in ext_samples.iter().enumerate() {
         let mut acc = vec![0.0; d];
         let mut wsum = 0.0;
@@ -374,12 +372,7 @@ pub(crate) fn build_extended_state(
         base_gnn.weights().to_vec(),
     )
     .map_err(FisError::Model)?;
-    let mac_index: HashMap<MacAddr, usize> = graph
-        .macs()
-        .iter()
-        .enumerate()
-        .map(|(j, &m)| (m, j))
-        .collect();
+    let mac_index = index_macs(graph.macs());
 
     let references = match stored_references {
         Some(refs) => {
@@ -397,22 +390,9 @@ pub(crate) fn build_extended_state(
             }
             refs
         }
-        None => {
-            // Re-embed every reference scan in the extended space through
-            // the same content-seeded inference pass streaming scans take.
-            // One scan per work item, so bit-identical at any thread count.
-            let rows: Vec<Result<Vec<f64>, String>> =
-                fis_parallel::par_map(&combined, 1, |_, scan| {
-                    let nbrs = known_neighbors(&graph, &mac_index, scan);
-                    if nbrs.is_empty() {
-                        return Ok(vec![0.0; d]);
-                    }
-                    gnn.infer_scan(&graph, &nbrs, scan_seed(seed, scan))
-                });
-            rows.into_iter()
-                .collect::<Result<Vec<Vec<f64>>, String>>()
-                .map_err(FisError::Inference)?
-        }
+        // Re-embed every reference scan in the extended space, the way
+        // a fit embeds its scans.
+        None => embed_scans(&gnn, &graph, &mac_index, &combined)?,
     };
 
     let nn = VpTree::build(&references, |i| !combined[i].is_empty());

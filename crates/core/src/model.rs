@@ -8,8 +8,12 @@
 //! 1. [`FisOne::fit`] runs the full pipeline once and captures everything
 //!    inference needs into a [`FittedModel`]: the trained GNN encoder, the
 //!    MAC vocabulary and training scans (which rebuild the bipartite
-//!    graph), per-cluster centroids in the *inference* embedding space,
-//!    and the cluster → floor ordering from indexing.
+//!    graph), the training scans' embeddings (the *references*),
+//!    per-cluster centroids, and the cluster → floor ordering from
+//!    indexing. Every scan is embedded one way, by the content-seeded
+//!    [`fis_gnn::RfGnn::infer_scan`] pass: the fit clusters exactly the
+//!    rows it stores as references, and [`FisOne::identify`] clusters the
+//!    same rows.
 //! 2. [`FittedModel::save`] / [`FittedModel::load`] persist the whole
 //!    model as one JSON artifact via `fis_types::json`. The codec writes
 //!    `f64` with shortest-round-trip precision and sorted object keys, so
@@ -25,23 +29,21 @@
 //!    attaches the scan to the MAC nodes it heard, embeds it with the
 //!    tape-free [`fis_gnn::RfGnn::infer_scan`] pass, and returns the
 //!    cluster of the nearest *reference* embedding (the training scans'
-//!    own inference embeddings, stored in the artifact).
-//!    [`FittedModel::assign_by_centroid`] is the O(floors) nearest-centroid
-//!    approximation of the same decision.
+//!    embeddings, stored in the artifact).
 //!    [`FittedModel::assign_stream`] fans a batch out over
 //!    [`fis_parallel`].
 //!
 //! # Determinism contract
 //!
 //! Each scan's inference RNG is seeded from the model seed and the scan's
-//! *content* alone, so an assignment depends only on `(model, scan)` —
-//! never on batch order, batch size, or thread count. The reference
-//! embeddings and centroids are computed through the *same* content-seeded
-//! inference path at fit time, so a training scan re-embeds **bit-identically**
-//! to its stored reference (distance exactly zero). That is what makes
-//! `fit` + `assign` reproduce `identify`'s labels exactly on the training
-//! corpus — a guarantee nearest-centroid alone cannot give on cluster-boundary
-//! scans — and it is locked by `tests/golden_fixtures.rs`.
+//! *content* alone, so an embedding depends only on `(model, scan)` —
+//! never on batch order, batch size, or thread count. Fit, identify and
+//! assign embed a scan through the same per-scan function, so a
+//! training scan re-embeds **bit-identically** to its stored reference
+//! (distance exactly zero) and gets the cluster the fit clustered it
+//! into. `fit` + `assign` therefore reproduce `identify`'s labels exactly
+//! on the training corpus, by construction; `tests/golden_fixtures.rs`
+//! locks it.
 //!
 //! # Artifact schema (version 1)
 //!
@@ -97,6 +99,7 @@ use std::path::Path;
 
 use fis_gnn::RfGnn;
 use fis_graph::BipartiteGraph;
+use fis_linalg::Matrix;
 use fis_obs::{self as obs, Level};
 use fis_types::fnv::{fnv1a, FNV_OFFSET};
 use fis_types::json::{Json, Kind, Reader, ToJson};
@@ -165,12 +168,12 @@ pub struct FittedModel {
 
 impl FisOne {
     /// Fits a model on a building's corpus: runs the full pipeline
-    /// (graph → RF-GNN → clustering → indexing) once, then precomputes
-    /// the reference embeddings and per-cluster centroids in the
-    /// content-seeded inference embedding space so [`FittedModel::assign`]
-    /// can label new scans without refitting (one 1-NN scan over the
-    /// references per query; [`FittedModel::assign_by_centroid`] for the
-    /// O(floors) variant).
+    /// (graph → RF-GNN → embedding → clustering → indexing) once and
+    /// keeps what [`FittedModel::assign`] needs to label new scans
+    /// without refitting. The embeddings it clusters are the content-seeded
+    /// inference embeddings a served scan gets, so they are stored as the
+    /// 1-NN references as they are, and fit + assign on the training scans
+    /// gives `identify`'s labels by construction.
     ///
     /// `anchor` must label a bottom- or top-floor sample, exactly like
     /// [`FisOne::identify`].
@@ -196,49 +199,23 @@ impl FisOne {
         self.validate_anchor(samples, floors, anchor)?;
         self.validate_endpoint_anchor(floors, anchor)?;
         let (graph, gnn) = self.train_model(samples)?;
-        let embeddings = gnn.embed_samples(&graph);
+        let mac_index = index_macs(graph.macs());
+        let references = embed_scans(&gnn, &graph, &mac_index, samples)?;
+        let embeddings = Matrix::from_vec(samples.len(), gnn.dim(), references.concat());
         let assignment = self.cluster_embeddings(&embeddings, floors)?;
         let prediction = self.index_assignment(samples, &assignment, floors, anchor)?;
 
-        let mac_index: HashMap<MacAddr, usize> = graph
-            .macs()
-            .iter()
-            .enumerate()
-            .map(|(j, &m)| (m, j))
-            .collect();
-        let seed = self.config().gnn.seed;
-        // Re-embed every training scan through the exact inference path a
-        // streaming scan will take (virtual node + content seed). One scan
-        // per work item with its own RNG, so the centroids are
-        // bit-identical for any thread count.
-        let reference_span = obs::span(Level::Debug, "pipeline", "reference_embed");
-        let inference: Vec<Option<Vec<f64>>> = fis_parallel::par_map(samples, 1, |_, scan| {
-            let nbrs = known_neighbors(&graph, &mac_index, scan);
-            if nbrs.is_empty() {
-                return None;
-            }
-            gnn.infer_scan(&graph, &nbrs, scan_seed(seed, scan)).ok()
-        });
-        drop(reference_span);
-        let dim = gnn.dim();
-        let mut centroids = vec![vec![0.0; dim]; floors];
+        let mut centroids = vec![vec![0.0; gnn.dim()]; floors];
         let mut counts = vec![0usize; floors];
-        let mut references = Vec::with_capacity(samples.len());
-        for (i, emb) in inference.into_iter().enumerate() {
-            match emb {
-                Some(emb) => {
-                    let c = assignment[i];
-                    for (slot, x) in centroids[c].iter_mut().zip(&emb) {
-                        *slot += x;
-                    }
-                    counts[c] += 1;
-                    references.push(emb);
-                }
-                // A scan that heard nothing has no inference embedding;
-                // an all-zero row keeps the reference list aligned and is
-                // excluded from the 1-NN search (see `assign`).
-                None => references.push(vec![0.0; dim]),
+        for ((scan, emb), &c) in samples.iter().zip(&references).zip(&assignment) {
+            // An empty scan's all-zero row is no embedding.
+            if scan.is_empty() {
+                continue;
             }
+            for (slot, x) in centroids[c].iter_mut().zip(emb) {
+                *slot += x;
+            }
+            counts[c] += 1;
         }
         for (centroid, &n) in centroids.iter_mut().zip(&counts) {
             if n > 0 {
@@ -337,11 +314,6 @@ impl FittedModel {
             .collect()
     }
 
-    /// The model's RNG seed (drives the content-seeded inference passes).
-    pub fn seed(&self) -> u64 {
-        self.config.gnn.seed
-    }
-
     /// Labels one scan: embeds it through the inductive inference pass and
     /// returns the cluster of the nearest stored reference embedding
     /// (1-NN over the training scans), found through the [`VpTree`] index
@@ -362,7 +334,7 @@ impl FittedModel {
         if self.uses_extension(scan) {
             return self.assign_extended(scan);
         }
-        let emb = self.infer_embedding(scan)?;
+        let emb = self.embed_query(None, scan)?;
         let best = self.nn.nearest(&emb).ok_or_else(no_reference_error)?;
         Ok(FloorId::from_index(
             self.floor_of_cluster[self.assignment[best]],
@@ -380,7 +352,7 @@ impl FittedModel {
         if self.uses_extension(scan) {
             return self.assign_extended_linear(scan);
         }
-        let emb = self.infer_embedding(scan)?;
+        let emb = self.embed_query(None, scan)?;
         let mut best = None;
         let mut best_d = f64::INFINITY;
         for (i, reference) in self.references.iter().enumerate() {
@@ -430,7 +402,7 @@ impl FittedModel {
     /// re-embedded in the extended space, via that space's VP-tree.
     fn assign_extended(&self, scan: &SignalSample) -> Result<FloorId, FisError> {
         let ext = self.extension.as_ref().expect("routed to extended path");
-        let emb = self.infer_embedding_extended(ext, scan)?;
+        let emb = self.embed_query(Some(ext), scan)?;
         let best = ext.nn.nearest(&emb).ok_or_else(no_reference_error)?;
         Ok(FloorId::from_index(
             self.floor_of_cluster[self.cluster_of_reference(best)],
@@ -441,7 +413,7 @@ impl FittedModel {
     /// [`FittedModel::assign_linear`] twin).
     fn assign_extended_linear(&self, scan: &SignalSample) -> Result<FloorId, FisError> {
         let ext = self.extension.as_ref().expect("routed to extended path");
-        let emb = self.infer_embedding_extended(ext, scan)?;
+        let emb = self.embed_query(Some(ext), scan)?;
         let mut best = None;
         let mut best_d = f64::INFINITY;
         for (i, reference) in ext.references.iter().enumerate() {
@@ -466,69 +438,31 @@ impl FittedModel {
         ))
     }
 
-    /// Embeds one scan in the extended space (content-seeded, like the
-    /// base path).
-    fn infer_embedding_extended(
-        &self,
-        ext: &ExtendedState,
-        scan: &SignalSample,
-    ) -> Result<Vec<f64>, FisError> {
-        let nbrs = known_neighbors(&ext.graph, &ext.mac_index, scan);
-        if nbrs.is_empty() {
-            return Err(FisError::Inference(format!(
-                "scan {} heard {} MAC(s), none known to the model for {}",
-                scan.id(),
-                scan.len(),
-                self.building
-            )));
-        }
-        ext.gnn
-            .infer_scan(&ext.graph, &nbrs, scan_seed(self.seed(), scan))
-            .map_err(FisError::Inference)
-    }
-
     /// The exact-1-NN index over the reference embeddings.
     pub fn nn_index(&self) -> &VpTree {
         &self.nn
     }
 
-    /// Nearest-centroid variant of [`FittedModel::assign`]: O(floors)
-    /// distance computations instead of O(samples). Same determinism
-    /// contract, but on cluster-boundary scans it may disagree with the
-    /// 1-NN decision (and therefore with `identify` on the training
-    /// corpus); use it when serving latency matters more than exactness.
-    ///
-    /// # Errors
-    ///
-    /// See [`FittedModel::assign`].
-    pub fn assign_by_centroid(&self, scan: &SignalSample) -> Result<FloorId, FisError> {
-        let emb = self.infer_embedding(scan)?;
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (c, centroid) in self.centroids.iter().enumerate() {
-            let d = fis_linalg::vec_ops::euclidean(&emb, centroid);
-            // Strict `<` keeps the lowest cluster id on exact ties.
-            if d < best_d {
-                best = c;
-                best_d = d;
-            }
-        }
-        Ok(FloorId::from_index(self.floor_of_cluster[best]))
-    }
-
-    /// Embeds one scan through the content-seeded inference pass.
-    fn infer_embedding(&self, scan: &SignalSample) -> Result<Vec<f64>, FisError> {
-        let nbrs = known_neighbors(&self.graph, &self.mac_index, scan);
-        if nbrs.is_empty() {
-            return Err(FisError::Inference(format!(
-                "scan {} heard {} MAC(s), none known to the model for {}",
-                scan.id(),
-                scan.len(),
-                self.building
-            )));
-        }
-        self.gnn
-            .infer_scan(&self.graph, &nbrs, scan_seed(self.seed(), scan))
+    /// Embeds one scan for a 1-NN lookup: in the extension's space when
+    /// `ext` is given, else in the base model's.
+    fn embed_query(
+        &self,
+        ext: Option<&ExtendedState>,
+        scan: &SignalSample,
+    ) -> Result<Vec<f64>, FisError> {
+        let (gnn, graph, mac_index) = match ext {
+            Some(ext) => (&ext.gnn, &ext.graph, &ext.mac_index),
+            None => (&self.gnn, &self.graph, &self.mac_index),
+        };
+        infer_embedding(gnn, graph, mac_index, scan)
+            .ok_or_else(|| {
+                FisError::Inference(format!(
+                    "scan {} heard {} MAC(s), none known to the model for {}",
+                    scan.id(),
+                    scan.len(),
+                    self.building
+                ))
+            })?
             .map_err(FisError::Inference)
     }
 
@@ -635,7 +569,6 @@ impl FittedModel {
             &self.samples,
             &self.macs,
             &self.gnn,
-            self.seed(),
             ext_samples,
             ext_assignment,
             None,
@@ -877,7 +810,6 @@ impl FittedModel {
                 &samples,
                 &macs,
                 &gnn,
-                gnn.config().seed,
                 ext_samples,
                 ext_assignment,
                 Some(ext_references),
@@ -894,7 +826,7 @@ impl FittedModel {
             None
         };
 
-        let mac_index = macs.iter().enumerate().map(|(j, &m)| (m, j)).collect();
+        let mac_index = index_macs(&macs);
         let nn = VpTree::build(&references, |i| !samples[i].is_empty());
         Ok(Self {
             building,
@@ -1001,10 +933,50 @@ fn no_reference_error() -> FisError {
     FisError::Inference("model has no non-empty training scan to compare against".into())
 }
 
+/// The MAC → interned index lookup of a vocabulary in interned order.
+pub(crate) fn index_macs(macs: &[MacAddr]) -> HashMap<MacAddr, usize> {
+    macs.iter().enumerate().map(|(j, &m)| (m, j)).collect()
+}
+
+/// Embeds scans through the content-seeded inference pass
+/// ([`infer_embedding`]), one scan per work item, so the rows are
+/// bit-identical for any thread count. A scan that heard no MAC in
+/// `mac_index` gets an all-zero row, which keeps the rows aligned with
+/// the scans and which the 1-NN search skips. This is the one way a
+/// scan is embedded: for `identify`'s clustering, a fit's references
+/// and an extension's references alike.
+pub(crate) fn embed_scans(
+    gnn: &RfGnn,
+    graph: &BipartiteGraph,
+    mac_index: &HashMap<MacAddr, usize>,
+    scans: &[SignalSample],
+) -> Result<Vec<Vec<f64>>, FisError> {
+    let mut span = obs::span(Level::Debug, "pipeline", "embed");
+    span.num("scans", scans.len() as f64);
+    fis_parallel::par_map(scans, 1, |_, scan| {
+        infer_embedding(gnn, graph, mac_index, scan).unwrap_or_else(|| Ok(vec![0.0; gnn.dim()]))
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()
+    .map_err(FisError::Inference)
+}
+
+/// Embeds one scan with [`RfGnn::infer_scan`], attached to the MAC nodes
+/// of `graph` it heard and seeded from the model seed and its content;
+/// `None` when it heard no MAC in `mac_index`.
+fn infer_embedding(
+    gnn: &RfGnn,
+    graph: &BipartiteGraph,
+    mac_index: &HashMap<MacAddr, usize>,
+    scan: &SignalSample,
+) -> Option<Result<Vec<f64>, String>> {
+    let nbrs = known_neighbors(graph, mac_index, scan);
+    (!nbrs.is_empty()).then(|| gnn.infer_scan(graph, &nbrs, scan_seed(gnn.config().seed, scan)))
+}
+
 /// Maps a scan's readings onto the model's MAC nodes with `f(RSS)`
-/// weights, dropping MACs outside the vocabulary. Shared with the
-/// extended path (`crate::extension`), which passes its own graph/index.
-pub(crate) fn known_neighbors(
+/// weights, dropping MACs outside the vocabulary.
+fn known_neighbors(
     graph: &BipartiteGraph,
     mac_index: &HashMap<MacAddr, usize>,
     scan: &SignalSample,
@@ -1022,7 +994,7 @@ pub(crate) fn known_neighbors(
 /// readings (FNV-1a over MAC/RSSI bits). Content-only on purpose: the
 /// same scan gets the same embedding no matter when, where, or next to
 /// which other scans it is served.
-pub(crate) fn scan_seed(model_seed: u64, scan: &SignalSample) -> u64 {
+fn scan_seed(model_seed: u64, scan: &SignalSample) -> u64 {
     scan.iter().fold(
         fnv1a(FNV_OFFSET, &model_seed.to_le_bytes()),
         |h, (mac, rssi)| {
@@ -1351,6 +1323,13 @@ mod tests {
         assert_eq!(model.training_labels(), pred.labels());
         assert_eq!(model.assignment(), pred.assignment());
         assert_eq!(model.floor_of_cluster(), pred.floor_of_cluster());
+        // One embedding per scan: identify clusters the very rows the
+        // fit stores as its 1-NN references.
+        let embeddings = fis.embed(b.samples()).unwrap();
+        assert_eq!(embeddings.rows(), model.references().len());
+        for (i, reference) in model.references().iter().enumerate() {
+            assert_eq!(embeddings.row(i), reference.as_slice(), "scan {i}");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use fis_types::{FloorId, LabeledAnchor, SignalSample};
 
 use crate::error::FisError;
 use crate::indexing::{index_clusters, TspSolver};
+use crate::model::{embed_scans, index_macs};
 use crate::similarity::{similarity_matrix, ClusterMacProfile, SimilarityMethod};
 
 /// Which clustering algorithm groups the embeddings (Figure 8(c,d)
@@ -188,15 +189,20 @@ impl FisOne {
         Ok((assignment, embeddings))
     }
 
-    /// Stages 1–2 only: graph construction and RF-GNN embedding.
+    /// Stages 1–2 only: graph construction, RF-GNN training, and one
+    /// embedding row per sample. Each row is the embedding
+    /// [`crate::FittedModel::assign`] would give that scan: the
+    /// content-seeded [`RfGnn::infer_scan`] pass; an empty scan gets an
+    /// all-zero row.
     ///
     /// # Errors
     ///
-    /// Returns [`FisError::Graph`] or [`FisError::Training`].
+    /// Returns [`FisError::Graph`], [`FisError::Training`] or
+    /// [`FisError::Inference`].
     pub fn embed(&self, samples: &[SignalSample]) -> Result<Matrix, FisError> {
-        let (graph, model) = self.train_model(samples)?;
-        let _span = obs::span(Level::Debug, "pipeline", "embed");
-        Ok(model.embed_samples(&graph))
+        let (graph, gnn) = self.train_model(samples)?;
+        let rows = embed_scans(&gnn, &graph, &index_macs(graph.macs()), samples)?;
+        Ok(Matrix::from_vec(samples.len(), gnn.dim(), rows.concat()))
     }
 
     /// Builds the bipartite graph and trains the RF-GNN, returning both so

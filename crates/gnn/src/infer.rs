@@ -1,19 +1,18 @@
 //! Inference-only forward passes: no tape, no gradient bookkeeping, and
 //! no per-node heap allocation.
 //!
-//! Training and batch embedding ([`RfGnn::embed_nodes`]) run the K-hop
-//! forward through the autograd tape, which allocates a node (value +
-//! zeroed gradient) per operation. Serving only needs the values, so this
-//! module runs the same recursion as one value-only kernel over a
-//! per-thread scratch: its buffers grow to the largest model the thread
-//! has served and are then reused, so a warm `infer_scan` allocates only
-//! the embedding it returns. The kernel keeps the tape's arithmetic
-//! order exactly — neighbors drawn in node order, the aggregate summed in
-//! sample order, `[self | agg] · W_k` through [`Matrix::row_matmul_into`]
-//! (the per-row kernel of [`Matrix::matmul`]), ReLU on inner hops, row
-//! ℓ2-normalization with the same `1e-12` guard — so
-//! [`RfGnn::infer_nodes`] is **bit-identical** to [`RfGnn::embed_nodes`]
-//! (enforced by tests).
+//! Training runs the K-hop forward through the autograd tape, which
+//! allocates a node (value + zeroed gradient) per operation. Inference
+//! only needs the values, so this module runs the same recursion as one
+//! value-only kernel over a per-thread scratch: its buffers grow to the
+//! largest model the thread has served and are then reused, so a warm
+//! `infer_scan` allocates only the embedding it returns. The kernel keeps
+//! the tape's arithmetic order exactly — neighbors drawn in node order,
+//! the aggregate summed in sample order, `[self | agg] · W_k` through
+//! [`Matrix::row_matmul_into`] (the per-row kernel of [`Matrix::matmul`]),
+//! ReLU on inner hops, row ℓ2-normalization with the same `1e-12` guard —
+//! so [`RfGnn::infer_nodes`] over graph nodes is **bit-identical** to the
+//! training forward over the same nodes and RNG (enforced by tests).
 //!
 //! It also extends the forward pass to **virtual scan nodes**: a new
 //! crowdsourced scan that was never part of the training graph is embedded
@@ -72,10 +71,11 @@ thread_local! {
 }
 
 impl RfGnn {
-    /// Tape-free variant of [`RfGnn::embed_nodes`]: embeds an arbitrary
-    /// set of unified node indices with identical RNG consumption and
-    /// arithmetic order, so the result is bit-identical — only the
-    /// gradient bookkeeping is skipped.
+    /// Embeds an arbitrary set of unified node indices (samples or MACs)
+    /// of the training graph, each from its own learned feature row,
+    /// averaging `inference_passes` passes drawn from one RNG seeded by
+    /// the config seed. Each pass consumes the RNG and orders its
+    /// arithmetic exactly as the training forward does.
     ///
     /// # Panics
     ///
@@ -292,9 +292,24 @@ mod tests {
 
     #[test]
     fn infer_nodes_bit_identical_to_tape_embedding() {
+        use fis_autograd::Tape;
+
         let (graph, model) = trained(11);
         let nodes: Vec<usize> = (0..graph.n_samples()).collect();
-        let tape = model.embed_nodes(&graph, &nodes);
+        // The training forward over the same nodes and RNG, pass by pass.
+        let passes = model.config().inference_passes;
+        let mut rng = ChaCha8Rng::seed_from_u64(model.config().seed ^ 0x1AFE1D);
+        let mut tape_sum = Matrix::zeros(nodes.len(), model.dim());
+        for _ in 0..passes {
+            let mut tape = Tape::new();
+            let vars = model.leaves(&mut tape);
+            let reps = model.forward(&mut tape, &graph, &mut rng, &vars, &nodes);
+            let values = tape.value(reps);
+            for i in 0..nodes.len() {
+                vec_ops::axpy(tape_sum.row_mut(i), 1.0, values.row(i));
+            }
+        }
+        let tape = tape_sum.scale(1.0 / passes as f64).l2_normalize_rows();
         let free = model.infer_nodes(&graph, &nodes);
         assert_eq!(tape.as_slice(), free.as_slice(), "forward paths diverged");
     }

@@ -26,7 +26,10 @@
 //! let graph = BipartiteGraph::from_samples(&samples())?;
 //! let config = RfGnnConfig::new(16).epochs(5).seed(42);
 //! let model = RfGnn::train(&graph, &config)?;
-//! let embeddings = model.embed_samples(&graph); // one row per signal sample
+//! // Embed a scan by the MAC nodes it heard, with their f(RSS) weights:
+//! // the one embedding the pipeline clusters and serving looks up.
+//! let heard = [(graph.mac_node(0), 60.0), (graph.mac_node(1), 35.0)];
+//! let embedding = model.infer_scan(&graph, &heard, 7)?; // seed 7
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -7,8 +7,6 @@ use fis_autograd::{Tape, Var};
 use fis_graph::BipartiteGraph;
 use fis_linalg::{init, Matrix};
 use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use crate::config::RfGnnConfig;
 
@@ -288,39 +286,11 @@ impl RfGnn {
         }
     }
 
-    /// Embeds every *sample* node of `graph`, one row per sample, in the
-    /// dense sample-id order. Deterministic for a fixed model and config
-    /// seed.
+    /// Embeds every *sample* node of `graph` through the tape-free
+    /// [`RfGnn::infer_nodes`], one row per sample in the dense sample-id
+    /// order. Each scan's hop-0 input is its own learned feature row; the
+    /// pipeline embeds scans with [`RfGnn::infer_scan`] instead.
     pub fn embed_samples(&self, graph: &BipartiteGraph) -> Matrix {
-        self.embed_nodes(graph, &(0..graph.n_samples()).collect::<Vec<_>>())
-    }
-
-    /// Embeds an arbitrary set of unified node indices (samples or MACs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds for `graph`.
-    pub fn embed_nodes(&self, graph: &BipartiteGraph, nodes: &[usize]) -> Matrix {
-        for &n in nodes {
-            assert!(n < graph.n_nodes(), "node {n} out of bounds");
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x1AFE1D);
-        let mut out = Matrix::zeros(nodes.len(), self.config.dim);
-        // Average several stochastic neighborhood samples, then project
-        // back onto the unit sphere; this shrinks the sampling variance of
-        // the final representations.
-        for _pass in 0..self.config.inference_passes {
-            for (chunk_start, chunk) in nodes.chunks(512).enumerate().map(|(i, c)| (i * 512, c)) {
-                let mut tape = Tape::new();
-                let vars = self.leaves(&mut tape);
-                let reps = self.forward(&mut tape, graph, &mut rng, &vars, chunk);
-                let values = tape.value(reps);
-                for (i, _) in chunk.iter().enumerate() {
-                    fis_linalg::vec_ops::axpy(out.row_mut(chunk_start + i), 1.0, values.row(i));
-                }
-            }
-        }
-        out.scale(1.0 / self.config.inference_passes as f64)
-            .l2_normalize_rows()
+        self.infer_nodes(graph, &(0..graph.n_samples()).collect::<Vec<_>>())
     }
 }

@@ -225,6 +225,10 @@ mod tests {
         (graph, truth)
     }
 
+    fn sample_nodes(graph: &BipartiteGraph) -> Vec<usize> {
+        (0..graph.n_samples()).collect()
+    }
+
     fn quick_config() -> RfGnnConfig {
         RfGnnConfig::new(8)
             .epochs(4)
@@ -295,7 +299,7 @@ mod tests {
     fn embeddings_have_unit_rows() {
         let (graph, _) = tiny_graph(2, 3);
         let model = RfGnn::train(&graph, &quick_config()).unwrap();
-        let emb = model.embed_samples(&graph);
+        let emb = model.infer_nodes(&graph, &sample_nodes(&graph));
         assert_eq!(emb.shape(), (graph.n_samples(), 8));
         for norm in emb.row_norms() {
             assert!((norm - 1.0).abs() < 1e-9 || norm < 1e-9, "norm={norm}");
@@ -307,7 +311,7 @@ mod tests {
     fn same_floor_pairs_closer_than_cross_floor() {
         let (graph, truth) = tiny_graph(3, 4);
         let model = RfGnn::train(&graph, &quick_config().epochs(6)).unwrap();
-        let emb = model.embed_samples(&graph);
+        let emb = model.infer_nodes(&graph, &sample_nodes(&graph));
         let mut same = Vec::new();
         let mut diff = Vec::new();
         for i in 0..graph.n_samples() {
@@ -355,11 +359,11 @@ mod tests {
     }
 
     #[test]
-    fn embed_nodes_covers_macs_too() {
+    fn infer_nodes_covers_macs_too() {
         let (graph, _) = tiny_graph(2, 8);
         let model = RfGnn::train(&graph, &quick_config()).unwrap();
         let mac_nodes: Vec<usize> = (0..graph.n_macs()).map(|j| graph.mac_node(j)).collect();
-        let emb = model.embed_nodes(&graph, &mac_nodes);
+        let emb = model.infer_nodes(&graph, &mac_nodes);
         assert_eq!(emb.rows(), graph.n_macs());
         assert!(emb.is_finite());
     }

@@ -43,8 +43,9 @@ fn end_to_end_five_floor_building() {
     assert!(res.edit > 0.6, "edit={}", res.edit);
 }
 
-/// The shipped config identifies floors well above chance on a
-/// benchmark-sized building (4 floors × 60 scans, two seeds).
+/// The shipped config clusters and orders the floors of a
+/// benchmark-sized building (4 floors × 60 scans, two seeds) almost
+/// perfectly.
 #[test]
 fn default_config_meets_the_quality_floor() {
     for seed in [16, 17] {
@@ -53,7 +54,8 @@ fn default_config_meets_the_quality_floor() {
             .seed(seed)
             .generate();
         let res = evaluate_building(&FisOne::new(FisOneConfig::default()), &b).unwrap();
-        assert!(res.ari >= 0.7, "seed {seed}: ari={}", res.ari);
+        assert!(res.ari >= 0.95, "seed {seed}: ari={}", res.ari);
+        assert_eq!(res.edit, 1.0, "seed {seed}: edit={}", res.edit);
     }
 }
 
