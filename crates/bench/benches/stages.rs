@@ -297,8 +297,7 @@ fn clustered_points(n: usize, dim: usize, clusters: usize, seed: u64) -> Vec<Vec
 
 /// The serving hot path's 1-NN layer: the exhaustive linear scan
 /// (`FittedModel::assign_linear`'s loop) vs the VP-tree index, at
-/// reference-set sizes up to 100k, plus the registry answer cache's hit
-/// path. The embedding forward pass is identical on every variant, so
+/// reference-set sizes up to 100k. The embedding forward pass is identical on every variant, so
 /// these isolate exactly what the tentpole changes.
 fn bench_assign(c: &mut Criterion) {
     let mut group = c.benchmark_group("assign");
@@ -336,33 +335,6 @@ fn bench_assign(c: &mut Criterion) {
             })
         });
     }
-    // The answer cache's hit path: FNV key derivation over a realistic
-    // 12-reading scan plus the bounded-map lookup — what a repeated scan
-    // costs instead of embedding + 1-NN.
-    let scan = {
-        let mut b = fis_types::SignalSample::builder(0);
-        for j in 0..12u64 {
-            b = b.reading(
-                fis_types::MacAddr::from_u64(0x0200_0000_0000 + j),
-                fis_types::Rssi::new(-40.0 - j as f64).unwrap(),
-            );
-        }
-        b.build()
-    };
-    let mut cache = fis_serve::AssignCache::new(1024);
-    let mut counters = fis_metrics::CacheCounters::default();
-    cache.insert(
-        fis_serve::ScanKey::of(&scan),
-        fis_types::FloorId::from_index(2),
-        &mut counters,
-    );
-    group.bench_function("cached", |bench| {
-        bench.iter(|| {
-            cache
-                .get(&fis_serve::ScanKey::of(std::hint::black_box(&scan)))
-                .unwrap()
-        })
-    });
     group.finish();
 }
 

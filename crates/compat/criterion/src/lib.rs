@@ -13,6 +13,14 @@
 //! additionally write a machine-readable report (bench name → median /
 //! best / mean ns) when the harness finishes — the input of the CI
 //! perf-regression gate (`fis-bench`'s `perf_gate` binary).
+//!
+//! The first command-line argument that does not start with `-` is a
+//! benchmark-name filter: only benchmarks whose full name (`group/name`)
+//! contains it run, so `cargo bench -p fis-bench --bench stages --
+//! model/load` times only the `model/load*` stages. Setup code outside
+//! the timed closures still runs. A filtered `CRITERION_JSON` report
+//! holds only the benchmarks that ran, so it is not a `perf_gate` input:
+//! the gate fails any baselined stage missing from its report.
 
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -212,27 +220,56 @@ impl BenchmarkId {
 
 /// Benchmark registry and runner.
 #[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Only benchmarks whose full name contains this run (`None` = all).
+    filter: Option<String>,
+}
 
 impl Criterion {
-    /// Runs one named benchmark immediately.
+    /// Runs only the benchmarks whose full name contains `filter`.
+    fn with_filter(mut self, filter: impl Into<String>) -> Self {
+        self.filter = Some(filter.into());
+        self
+    }
+
+    /// Takes the filter from the command line: the first argument after
+    /// the program name that does not start with `-`, if any.
+    pub fn configure_from_args(self) -> Self {
+        match std::env::args().skip(1).find(|a| !a.starts_with('-')) {
+            Some(filter) => self.with_filter(filter),
+            None => self,
+        }
+    }
+
+    /// Runs one named benchmark immediately, unless the filter skips it.
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_bench(name, f);
+        self.run(name, f);
         self
     }
 
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            _parent: self,
+            parent: self,
             name: name.into(),
+        }
+    }
+
+    /// Runs `f` as benchmark `name` if the filter selects it.
+    fn run(&self, name: &str, f: impl FnMut(&mut Bencher)) {
+        if self
+            .filter
+            .as_deref()
+            .is_none_or(|filter| name.contains(filter))
+        {
+            run_bench(name, f);
         }
     }
 }
 
 /// Group of related benchmarks sharing a name prefix.
 pub struct BenchmarkGroup<'a> {
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
     name: String,
 }
 
@@ -244,7 +281,7 @@ impl BenchmarkGroup<'_> {
 
     /// Runs one benchmark under this group's prefix.
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_bench(&format!("{}/{}", self.name, name), f);
+        self.parent.run(&format!("{}/{}", self.name, name), f);
         self
     }
 
@@ -255,7 +292,8 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
-        run_bench(&format!("{}/{}", self.name, id.full), |b| f(b, input));
+        self.parent
+            .run(&format!("{}/{}", self.name, id.full), |b| f(b, input));
         self
     }
 
@@ -268,14 +306,15 @@ impl BenchmarkGroup<'_> {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $($target(&mut criterion);)+
         }
     };
 }
 
-/// Emits `main` running the given benchmark groups, then flushing the
-/// optional `CRITERION_JSON` machine-readable report.
+/// Emits `main` running the given benchmark groups, each filtered by
+/// the command line's benchmark-name filter (see the crate docs), then
+/// flushing the optional `CRITERION_JSON` machine-readable report.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
@@ -326,6 +365,35 @@ mod tests {
         assert!(text.starts_with("{\"schema\":\"fis-one/bench-report\""));
         assert!(text.contains("\"shim/json_probe\""));
         assert!(text.contains("\"median_ns\""));
+    }
+
+    #[test]
+    fn filter_skips_benchmarks_whose_full_name_lacks_it() {
+        std::env::set_var("CRITERION_QUICK", "1");
+        let mut c = Criterion::default().with_filter("keep");
+        let (mut kept, mut skipped) = (0u32, 0u32);
+        c.bench_function("shim/keep_top", |b| {
+            kept += 1;
+            b.iter(|| 1u64)
+        });
+        c.bench_function("shim/drop_top", |_| skipped += 1);
+        let mut g = c.benchmark_group("keep");
+        // Matched through the group prefix alone.
+        g.bench_function("any", |b| {
+            kept += 1;
+            b.iter(|| 2u64)
+        });
+        g.finish();
+        let mut g = c.benchmark_group("grp");
+        g.bench_with_input(BenchmarkId::new("keep", 3), &3u64, |b, n| {
+            kept += 1;
+            b.iter(|| *n)
+        });
+        g.bench_with_input(BenchmarkId::new("other", 3), &3u64, |_, _| skipped += 1);
+        g.bench_function("other", |_| skipped += 1);
+        g.finish();
+        assert_eq!(skipped, 0, "a filtered-out closure ran");
+        assert!(kept >= 3, "each selected benchmark runs at least once");
     }
 
     #[test]

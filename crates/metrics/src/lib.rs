@@ -10,13 +10,11 @@
 //!
 //! Plus the [`contingency::ContingencyTable`] shared by ARI/NMI,
 //! [`summary`] mean/std helpers for the `mean(std)` cells of Table I,
-//! the [`histogram::Histogram`] log-bucketed exact distribution behind
-//! the serving daemon's latency stats and `metrics` exposition op, and
-//! the [`cache::CacheCounters`] hit/miss/eviction accounting behind
-//! its assign answer cache.
+//! and the [`histogram::Histogram`] log-bucketed exact distribution
+//! behind the serving daemon's latency stats and `metrics` exposition
+//! op.
 
 pub mod ari;
-pub mod cache;
 pub mod contingency;
 pub mod edit;
 pub mod histogram;
@@ -24,7 +22,6 @@ pub mod nmi;
 pub mod summary;
 
 pub use ari::adjusted_rand_index;
-pub use cache::CacheCounters;
 pub use contingency::ContingencyTable;
 pub use edit::{jaro, jaro_winkler};
 pub use histogram::Histogram;

@@ -15,8 +15,7 @@
 //! ┌────────────┐  NDJSON   ┌──────────────────────────────┐
 //! │   client    │ ───────▶ │ Daemon                        │
 //! │ (pipe/TCP)  │ ◀─────── │  ├─ ModelRegistry (one lock:  │
-//! └────────────┘           │  │   LRU, explicit swap,      │
-//!                          │  │   answer cache)            │
+//! └────────────┘           │  │   LRU, explicit swap)      │
 //!                          │  ├─ ServingMetrics (p50/p99)  │
 //!                          │  └─ assign fan-out            │
 //!                          │     (fis-parallel)            │
@@ -42,14 +41,10 @@
 //! contract: responses for `assign`/`assign_batch` are bit-identical for
 //! any batch order, any thread count, and any eviction history, because
 //! each scan's inference RNG is seeded from `(model seed, scan content)`
-//! alone and artifacts reload byte-identically. The same contract makes
-//! the optional [`registry::AssignCache`] answer cache exact: replaying
-//! a stored answer for identical scan content is indistinguishable from
-//! recomputing it, for any cache capacity or invalidation history. The
-//! golden-fixture test `tests/serve_determinism.rs` serves the golden
-//! corpus through the daemon — with a forced evict+reload in the middle
-//! and at several cache capacities — and diffs against
-//! `FittedModel::assign`.
+//! alone and artifacts reload byte-identically. The golden-fixture test
+//! `tests/serve_determinism.rs` serves the golden corpus through the
+//! daemon — with a forced evict+reload and a swap in the middle — and
+//! diffs against `FittedModel::assign`.
 //!
 //! # Concurrency
 //!
@@ -91,7 +86,5 @@ pub use error::ServeError;
 pub use metrics::{OpMetrics, ServingMetrics};
 pub use pool::LineServer;
 pub use protocol::{BatchRow, Frame, Request, Response, PROTOCOL_VERSION};
-pub use registry::{
-    AssignCache, Fetch, ModelRegistry, RegistryConfig, RegistrySnapshot, RegistryStats, ScanKey,
-};
+pub use registry::{Fetch, ModelRegistry, RegistryConfig, RegistrySnapshot, RegistryStats};
 pub use server::{Daemon, DaemonConfig};

@@ -150,7 +150,6 @@ impl ServingMetrics {
             evictions,
             reloads,
             load_failures,
-            assign_cache,
         } = registry.stats;
         let loaded = Json::Arr(
             registry
@@ -187,18 +186,6 @@ impl ServingMetrics {
                     ("load_failures", Json::Num(load_failures as f64)),
                     ("loaded", loaded),
                     ("bytes", Json::Num(registry.bytes() as f64)),
-                ]),
-            ),
-            (
-                "assign_cache",
-                Json::obj([
-                    ("capacity", Json::Num(registry.cache_capacity as f64)),
-                    ("entries", Json::Num(registry.cache_entries as f64)),
-                    ("hits", Json::Num(assign_cache.hits as f64)),
-                    ("misses", Json::Num(assign_cache.misses as f64)),
-                    ("insertions", Json::Num(assign_cache.insertions as f64)),
-                    ("evictions", Json::Num(assign_cache.evictions as f64)),
-                    ("hit_rate", Json::Num(assign_cache.hit_rate())),
                 ]),
             ),
         ])
@@ -269,18 +256,6 @@ impl ServingMetrics {
             ("fis_registry_load_failures_total", stats.load_failures),
             ("fis_registry_loaded_models", registry.loaded.len() as u64),
             ("fis_registry_bytes", registry.bytes()),
-            ("fis_assign_cache_hits_total", stats.assign_cache.hits),
-            ("fis_assign_cache_misses_total", stats.assign_cache.misses),
-            (
-                "fis_assign_cache_insertions_total",
-                stats.assign_cache.insertions,
-            ),
-            (
-                "fis_assign_cache_evictions_total",
-                stats.assign_cache.evictions,
-            ),
-            ("fis_assign_cache_entries", registry.cache_entries as u64),
-            ("fis_assign_cache_capacity", registry.cache_capacity as u64),
         ] {
             let kind = if metric.ends_with("_total") {
                 "counter"
@@ -331,7 +306,14 @@ mod tests {
         m.record(Some("hq"), 2, 2, false, 300.0);
         m.record(Some("hq"), 1, 1, false, 700.0);
         let json = m.to_json(&RegistrySnapshot::default());
-        assert!(json.get("uptime_ms").is_some());
+        // The frozen top-level shape: nothing beside these four keys.
+        let Json::Obj(top) = &json else {
+            panic!("stats is not an object: {json}");
+        };
+        assert_eq!(
+            top.keys().map(String::as_str).collect::<Vec<_>>(),
+            ["global", "models", "registry", "uptime_ms"]
+        );
         assert_eq!(
             json.get("global")
                 .unwrap()
@@ -370,8 +352,6 @@ mod tests {
         m.record(None, 0, 0, true, 100.0);
         let text = m.to_prometheus(&RegistrySnapshot {
             loaded: vec![("hq".into(), 1024)],
-            cache_entries: 2,
-            cache_capacity: 64,
             ..Default::default()
         });
         for needle in [
@@ -384,7 +364,6 @@ mod tests {
             "fis_latency_ns_count{scope=\"global\"} 2",
             "fis_registry_loaded_models 1",
             "fis_registry_bytes 1024",
-            "fis_assign_cache_capacity 64",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }
@@ -397,6 +376,30 @@ mod tests {
             }
         }
         assert!(!text.contains("quantile"), "summary line in:\n{text}");
+        // The exported families, exactly: no family beside these.
+        let families: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(
+            families,
+            [
+                "fis_uptime_seconds",
+                "fis_requests_total",
+                "fis_errors_total",
+                "fis_scans_total",
+                "fis_batch_max",
+                "fis_latency_ns",
+                "fis_registry_hits_total",
+                "fis_registry_misses_total",
+                "fis_registry_evictions_total",
+                "fis_registry_reloads_total",
+                "fis_registry_load_failures_total",
+                "fis_registry_loaded_models",
+                "fis_registry_bytes",
+            ]
+        );
         // Every non-comment line is `name{labels} value` with a numeric
         // value — the parseability contract the smoke test rechecks.
         for line in text.lines().filter(|l| !l.starts_with('#')) {

@@ -95,7 +95,7 @@ pub enum Request {
         scans: Vec<SignalSample>,
     },
     /// Put the artifact now on disk live: read it and replace the
-    /// resident model (and its answer cache) (v2). The only way a
+    /// resident model (v2). The only way a
     /// rewritten artifact reaches a resident building.
     Swap {
         /// Registry key to swap.

@@ -33,11 +33,11 @@
 //! [`ModelRegistry`] is shared by reference across connections: every
 //! method takes `&self`, and the state sits behind one private mutex
 //! held only for *bookkeeping* — the entry lookup, installing an entry,
-//! the budget, answer-cache lookups and stores. A hit is one short lock
-//! hold. A miss takes the building's *load slot*, a per-building mutex
-//! held outside the registry lock, and checks the entry again, because
-//! a request that waited on the slot usually finds the entry the load
-//! it waited on installed. The read and parse run with no registry lock
+//! the budget. A hit is one short lock hold. A miss takes the
+//! building's *load slot*, a per-building mutex held outside the
+//! registry lock, and checks the entry again, because a request that
+//! waited on the slot usually finds the entry the load it waited on
+//! installed. The read and parse run with no registry lock
 //! held, so requests for the same building share one load and requests
 //! for other buildings never wait on it. A swap holds the same slot, so
 //! a load that read the old bytes before the swap installs before it
@@ -45,53 +45,19 @@
 //! waits on it, so the slot map holds only the buildings with a load or
 //! swap in flight.
 //!
-//! Inference ([`FittedModel::assign_stream`]) always runs outside the
-//! lock, and so do the `registry` trace events. An assignment is a pure
-//! function of `(model, scan content)`, so lock order can change *when*
-//! answers are computed or cached, never *what* they are.
-//!
-//! # Assign answer cache
-//!
-//! With [`RegistryConfig::assign_cache`] > 0, every cached model carries
-//! a bounded scan-content → floor answer cache, served through
-//! [`ModelRegistry::assign_batch`]. The determinism contract is what
-//! makes this *exact* rather than approximate: the per-scan inference
-//! RNG is seeded from content alone, so replaying a cached answer is
-//! bit-identical to recomputing it. Four design points keep that
-//! airtight:
-//!
-//! - **Collision-proof keys** — [`ScanKey`] hashes by the FNV-1a of the
-//!   scan's readings but compares by the *full* content, so two scans
-//!   that collide on the 64-bit hash can never alias each other's
-//!   answers.
-//! - **Per-entry lifetime** — the cache lives inside the registry
-//!   `Entry` next to its model, so eviction and swap drop it
-//!   automatically: a cached answer can never outlive the exact artifact
-//!   generation that produced it.
-//! - **Same-generation stores** — answers are computed outside the lock
-//!   and stored only if the entry still holds the very `Arc` that
-//!   produced them; an answer from a generation that was evicted or
-//!   swapped out in the meantime is dropped.
-//! - **Bounded FIFO** — at most `assign_cache` answers per model,
-//!   oldest-inserted dropped first (deterministic, no clock). Only
-//!   successful answers are cached; errors are recomputed (and are
-//!   deterministic anyway).
-//!
-//! Counters accumulate registry-lifetime in
-//! [`RegistryStats::assign_cache`] (a [`fis_metrics::CacheCounters`])
-//! and surface through the daemon's `stats` op.
+//! Inference ([`FittedModel::assign_stream`]) runs in the caller on the
+//! model [`ModelRegistry::get`] returned, outside the lock, and so do
+//! the `registry` trace events. An assignment is a pure function of
+//! `(model, scan content)`, so lock order can change *when* answers are
+//! computed, never *what* they are.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use fis_core::{FisError, FittedModel};
-use fis_metrics::CacheCounters;
+use fis_core::FittedModel;
 use fis_obs::{self as obs, Level};
-use fis_types::fnv::{fnv1a, FNV_OFFSET};
-use fis_types::{FloorId, SignalSample};
 
 use crate::error::ServeError;
 
@@ -104,19 +70,15 @@ pub struct RegistryConfig {
     pub max_models: usize,
     /// Maximum total artifact bytes cached (`0` = unlimited).
     pub max_bytes: u64,
-    /// Per-model assign answer-cache capacity (`0` = cache disabled).
-    pub assign_cache: usize,
 }
 
 impl RegistryConfig {
-    /// A registry over `dir` with no cache budget and the answer cache
-    /// disabled.
+    /// A registry over `dir` with no cache budget.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             max_models: 0,
             max_bytes: 0,
-            assign_cache: 0,
         }
     }
 
@@ -130,119 +92,6 @@ impl RegistryConfig {
     pub fn max_bytes(mut self, n: u64) -> Self {
         self.max_bytes = n;
         self
-    }
-
-    /// Sets the per-model assign answer-cache capacity (`0` = disabled).
-    pub fn assign_cache(mut self, n: usize) -> Self {
-        self.assign_cache = n;
-        self
-    }
-}
-
-/// Content identity of one scan for answer-cache keying.
-///
-/// Hashes by the 64-bit FNV-1a of the readings (cheap bucketing) but
-/// compares by the full `(MAC, RSSI-bits)` sequence, so a hash collision
-/// degrades to a cache miss — never to a wrong answer. The sample *id*
-/// is deliberately excluded: the inference seed (`scan_seed`) is derived
-/// from the readings alone, so two scans with identical readings receive
-/// bit-identical answers regardless of id.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanKey {
-    fnv: u64,
-    /// `(mac.to_u64(), rssi.dbm().to_bits())` per reading, in the
-    /// sample's canonical (MAC-sorted) iteration order.
-    readings: Arc<[(u64, u64)]>,
-}
-
-impl ScanKey {
-    /// Derives the key from a scan's content: the FNV-1a of each
-    /// reading's little-endian MAC then RSSI bits, in order.
-    pub fn of(scan: &SignalSample) -> Self {
-        let readings: Vec<(u64, u64)> = scan
-            .iter()
-            .map(|(mac, rssi)| (mac.to_u64(), rssi.dbm().to_bits()))
-            .collect();
-        let fnv = readings.iter().fold(FNV_OFFSET, |h, &(mac, rssi)| {
-            fnv1a(fnv1a(h, &mac.to_le_bytes()), &rssi.to_le_bytes())
-        });
-        Self {
-            fnv,
-            readings: readings.into(),
-        }
-    }
-
-    /// The FNV-1a content hash (the `Hash` value).
-    pub fn fnv(&self) -> u64 {
-        self.fnv
-    }
-}
-
-impl Hash for ScanKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // The precomputed content hash alone; `Eq` still compares the
-        // full readings, so colliding keys land in one bucket but never
-        // alias.
-        state.write_u64(self.fnv);
-    }
-}
-
-/// A bounded FIFO scan-content → floor cache for one model generation.
-/// See the [module docs](self) for why replaying answers is exact.
-#[derive(Debug)]
-pub struct AssignCache {
-    capacity: usize,
-    map: HashMap<ScanKey, FloorId>,
-    /// Insertion order; the front is the next FIFO victim.
-    order: VecDeque<ScanKey>,
-}
-
-impl AssignCache {
-    /// An empty cache holding at most `capacity` answers (`0` = always
-    /// empty).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Cached answers right now.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no answers are cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Looks up the answer for a scan key.
-    pub fn get(&self, key: &ScanKey) -> Option<FloorId> {
-        self.map.get(key).copied()
-    }
-
-    /// Stores an answer, evicting the oldest insertion if over capacity.
-    /// Re-inserting a cached key is a no-op (the answer cannot differ).
-    pub fn insert(&mut self, key: ScanKey, floor: FloorId, counters: &mut CacheCounters) {
-        if self.capacity == 0 || self.map.contains_key(&key) {
-            return;
-        }
-        self.map.insert(key.clone(), floor);
-        self.order.push_back(key);
-        counters.insertion();
-        while self.map.len() > self.capacity {
-            if let Some(victim) = self.order.pop_front() {
-                self.map.remove(&victim);
-                counters.eviction();
-            }
-        }
     }
 }
 
@@ -261,8 +110,6 @@ pub struct RegistryStats {
     /// Loads and swaps that failed on an artifact that exists but could
     /// not be read, or is corrupt or mismatched.
     pub load_failures: u64,
-    /// Assign answer-cache counters, summed across all tenants.
-    pub assign_cache: CacheCounters,
 }
 
 /// Counters and gauges taken under one registry lock hold: what the
@@ -273,10 +120,6 @@ pub struct RegistrySnapshot {
     pub stats: RegistryStats,
     /// Resident building ids with their artifact sizes, sorted by id.
     pub loaded: Vec<(String, u64)>,
-    /// Answers cached across all resident models.
-    pub cache_entries: usize,
-    /// Configured per-model answer-cache capacity.
-    pub cache_capacity: usize,
 }
 
 impl RegistrySnapshot {
@@ -293,9 +136,6 @@ struct Entry {
     /// byte-budget proxy.
     bytes: u64,
     last_used: u64,
-    /// Answers for exactly this model generation; dropped with the
-    /// entry on evict/swap, so invalidation is structural.
-    cache: AssignCache,
 }
 
 /// A cached, loaded model plus how it got there (for metrics).
@@ -364,8 +204,7 @@ impl ModelRegistry {
         self.lock().stats
     }
 
-    /// Counters, residents, and answer-cache gauges, all from one lock
-    /// hold.
+    /// Counters and residents, both from one lock hold.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let state = self.lock();
         let mut loaded: Vec<(String, u64)> = state
@@ -377,8 +216,6 @@ impl ModelRegistry {
         RegistrySnapshot {
             stats: state.stats,
             loaded,
-            cache_entries: state.entries.values().map(|e| e.cache.len()).sum(),
-            cache_capacity: self.config.assign_cache,
         }
     }
 
@@ -403,8 +240,7 @@ impl ModelRegistry {
     }
 
     /// Publishes the artifact now on disk: reads and parses it, then
-    /// replaces the resident entry (answer cache included)
-    /// unconditionally. Returns [`Fetch::Reload`] when an entry was
+    /// replaces the resident entry unconditionally. Returns [`Fetch::Reload`] when an entry was
     /// resident and [`Fetch::Miss`] when none was. A failed read or
     /// parse drops the entry. Runs under the building's load slot, so a
     /// load that read older bytes installs before the swap, never after.
@@ -414,95 +250,6 @@ impl ModelRegistry {
     /// The [`ModelRegistry::get`] errors.
     pub fn swap(&self, building: &str) -> Result<(Arc<FittedModel>, Fetch), ServeError> {
         self.traced(building, true)
-    }
-
-    /// Labels a batch, preserving [`FittedModel::assign_stream`]
-    /// semantics: results in input order, per-scan failures in their
-    /// slot. With the answer cache on, cached and in-batch-duplicate
-    /// scans are counted as hits and skip recomputation; only the unique
-    /// missing scans fan out over `threads` workers, outside the lock.
-    /// Because every answer is a pure function of `(model, scan
-    /// content)`, the output is bit-identical to the uncached fan-out
-    /// for any mix of hits, misses, duplicates, and thread interleaving.
-    ///
-    /// # Errors
-    ///
-    /// Only the [`ModelRegistry::get`] errors; per-scan failures land in
-    /// their result slot.
-    #[allow(clippy::type_complexity)]
-    pub fn assign_batch(
-        &self,
-        building: &str,
-        scans: &[SignalSample],
-        threads: usize,
-    ) -> Result<Vec<Result<FloorId, FisError>>, ServeError> {
-        let (model, _) = self.get(building)?;
-        if self.config.assign_cache == 0 {
-            return Ok(model.assign_stream(scans, threads));
-        }
-        let keys: Vec<ScanKey> = scans.iter().map(ScanKey::of).collect();
-        let mut results: Vec<Option<Result<FloorId, FisError>>> = vec![None; scans.len()];
-        let mut first_of: HashMap<&ScanKey, usize> = HashMap::new();
-        let mut missing: Vec<usize> = Vec::new();
-        // One lock hold for the whole lookup phase: the per-scan cache
-        // peek in input order, on the entry that still holds the fetched
-        // model (a generation replaced since the fetch is all-miss). Hits
-        // fill their slots, the first occurrence of each missing content
-        // queues for compute, later duplicates replay it.
-        {
-            let mut guard = self.lock();
-            let state = &mut *guard;
-            let cache = state
-                .entries
-                .get(building)
-                .filter(|e| Arc::ptr_eq(&e.model, &model))
-                .map(|e| &e.cache);
-            let counters = &mut state.stats.assign_cache;
-            for (i, key) in keys.iter().enumerate() {
-                if let Some(floor) = cache.and_then(|c| c.get(key)) {
-                    counters.hit();
-                    results[i] = Some(Ok(floor));
-                } else if first_of.contains_key(key) {
-                    counters.hit();
-                } else {
-                    counters.miss();
-                    first_of.insert(key, i);
-                    missing.push(i);
-                }
-            }
-        }
-        obs::event(Level::Trace, "registry", "cache_lookup")
-            .str("building", building)
-            .num("scans", scans.len() as f64)
-            .num("hits", (scans.len() - missing.len()) as f64)
-            .num("computed", missing.len() as f64)
-            .emit();
-        let subset: Vec<SignalSample> = missing.iter().map(|&i| scans[i].clone()).collect();
-        let computed = model.assign_stream(&subset, threads);
-        {
-            let mut state = self.lock();
-            for (&i, result) in missing.iter().zip(&computed) {
-                if let Ok(floor) = result {
-                    state.store_answer(building, &model, keys[i].clone(), *floor);
-                }
-            }
-        }
-        for (&i, result) in missing.iter().zip(computed) {
-            results[i] = Some(result);
-        }
-        // In-batch duplicates replay the first occurrence's answer (same
-        // content ⇒ same answer, ok or error); the first occurrence is
-        // always at a lower index, so its slot is already filled.
-        for i in 0..results.len() {
-            if results[i].is_none() {
-                let first = first_of[&keys[i]];
-                results[i] = results[first].clone();
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|slot| slot.expect("every slot resolved"))
-            .collect())
     }
 
     /// Drops a cached model; returns whether it was cached. The artifact
@@ -605,7 +352,6 @@ impl ModelRegistry {
             model: Arc::clone(&model),
             bytes,
             last_used: state.tick,
-            cache: AssignCache::new(self.config.assign_cache),
         };
         state.entries.insert(building.to_owned(), entry);
         state.enforce_budget(&self.config, building);
@@ -671,26 +417,6 @@ impl State {
             self.stats.evictions += 1;
         }
         taken
-    }
-
-    /// Stores an answer that was computed *outside* the registry lock —
-    /// but only if the cached entry still holds exactly the model that
-    /// produced it. If the entry was evicted or swapped out in the
-    /// meantime, the answer is silently dropped: caching it against a
-    /// different model generation could serve a stale floor after the
-    /// swap.
-    fn store_answer(
-        &mut self,
-        building: &str,
-        model: &Arc<FittedModel>,
-        key: ScanKey,
-        floor: FloorId,
-    ) {
-        if let Some(entry) = self.entries.get_mut(building) {
-            if Arc::ptr_eq(&entry.model, model) {
-                entry.cache.insert(key, floor, &mut self.stats.assign_cache);
-            }
-        }
     }
 
     /// Evicts least-recently-used models until the budget holds, never
@@ -789,6 +515,7 @@ mod tests {
     use super::*;
     use fis_core::{FisOne, FisOneConfig};
     use fis_synth::BuildingConfig;
+    use fis_types::{FloorId, SignalSample};
 
     fn quick_model(name: &str, samples: usize, seed: u64) -> FittedModel {
         let b = BuildingConfig::new(name, 3)
@@ -807,11 +534,11 @@ mod tests {
             .unwrap()
     }
 
-    /// One scan through the batch path, which must label it.
+    /// One scan through the daemon's assign path: a registry fetch,
+    /// then the model's stream, which must label it.
     fn assign_one(reg: &ModelRegistry, building: &str, scan: &SignalSample) -> FloorId {
-        let mut results = reg
-            .assign_batch(building, std::slice::from_ref(scan), 1)
-            .unwrap();
+        let (model, _) = reg.get(building).unwrap();
+        let mut results = model.assign_stream(std::slice::from_ref(scan), 1);
         results.pop().unwrap().unwrap()
     }
 
@@ -980,196 +707,20 @@ mod tests {
     }
 
     #[test]
-    fn scan_key_ignores_id_but_not_content() {
-        let model = quick_model("keys", 15, 20);
-        let scan = &model.samples()[0];
-        let twin = {
-            let mut b = fis_types::SignalSample::builder(9999);
-            for (mac, rssi) in scan.iter() {
-                b = b.reading(mac, rssi);
-            }
-            b.build()
-        };
-        assert_eq!(
-            ScanKey::of(scan),
-            ScanKey::of(&twin),
-            "identical readings under a different id must share a key"
-        );
-        assert_ne!(ScanKey::of(scan), ScanKey::of(&model.samples()[1]));
-        // The key hash is plain FNV-1a over the readings' bytes laid end
-        // to end, anchored on the published test vector.
-        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
-        let bytes: Vec<u8> = scan
-            .iter()
-            .flat_map(|(mac, rssi)| [mac.to_u64(), rssi.dbm().to_bits()].map(u64::to_le_bytes))
-            .flatten()
-            .collect();
-        assert_eq!(ScanKey::of(scan).fnv(), fnv1a(FNV_OFFSET, &bytes));
-    }
-
-    #[test]
-    fn answer_cache_replays_hits_identically() {
-        let dir = temp_dir("ans_hit");
-        let model = quick_model("hits", 15, 21);
-        model.save(dir.join("hits.json")).unwrap();
-        let reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
-        let scan = model.samples()[0].clone();
-        let direct = model.assign(&scan).unwrap();
-        let first = assign_one(&reg, "hits", &scan);
-        let second = assign_one(&reg, "hits", &scan);
-        assert_eq!(first, direct);
-        assert_eq!(second, direct);
-        let c = reg.stats().assign_cache;
-        assert_eq!((c.hits, c.misses, c.insertions), (1, 1, 1));
-        assert_eq!(reg.snapshot().cache_entries, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn answer_cache_capacity_zero_disables_caching() {
-        let dir = temp_dir("ans_zero");
-        let model = quick_model("zero", 15, 22);
-        model.save(dir.join("zero.json")).unwrap();
-        let reg = ModelRegistry::new(RegistryConfig::new(&dir));
-        let scan = model.samples()[0].clone();
-        for _ in 0..3 {
-            assert_eq!(
-                assign_one(&reg, "zero", &scan),
-                model.assign(&scan).unwrap()
-            );
-        }
-        assert_eq!(reg.stats().assign_cache, CacheCounters::default());
-        assert_eq!(reg.snapshot().cache_entries, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn answer_cache_fifo_eviction_at_capacity_one() {
-        let dir = temp_dir("ans_fifo");
-        let model = quick_model("fifo", 15, 23);
-        model.save(dir.join("fifo.json")).unwrap();
-        let reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(1));
-        let a = model.samples()[0].clone();
-        let b = model.samples()[1].clone();
-        // a miss, b miss (evicts a), a miss (evicts b), a hit.
-        assign_one(&reg, "fifo", &a);
-        assign_one(&reg, "fifo", &b);
-        assign_one(&reg, "fifo", &a);
-        assign_one(&reg, "fifo", &a);
-        let c = reg.stats().assign_cache;
-        assert_eq!((c.hits, c.misses), (1, 3));
-        assert_eq!((c.insertions, c.evictions), (3, 2));
-        assert_eq!(reg.snapshot().cache_entries, 1);
-        // Every answer — cached or not — matches the direct path.
-        assert_eq!(assign_one(&reg, "fifo", &b), model.assign(&b).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn answer_cache_dropped_on_evict_and_swap() {
-        let dir = temp_dir("ans_inval");
-        let path = dir.join("inv.json");
-        let model = quick_model("inv", 15, 24);
-        model.save(&path).unwrap();
-        let reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
-        let scan = model.samples()[0].clone();
-        assign_one(&reg, "inv", &scan);
-        assert_eq!(reg.snapshot().cache_entries, 1);
-        // Explicit evict drops the answers with the model.
-        reg.evict("inv");
-        assert_eq!(reg.snapshot().cache_entries, 0);
-        assign_one(&reg, "inv", &scan);
-        assert_eq!(
-            reg.stats().assign_cache.misses,
-            2,
-            "evict forced a recompute"
-        );
-        // A swap drops them too, even of byte-identical content.
-        assert_eq!(reg.snapshot().cache_entries, 1);
-        let (_, fetch) = reg.swap("inv").unwrap();
-        assert_eq!(fetch, Fetch::Reload);
-        assert_eq!(reg.snapshot().cache_entries, 0, "swap kept stale answers");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn answers_from_a_replaced_generation_are_never_cached() {
-        let dir = temp_dir("ans_stale");
-        let model = quick_model("stale", 15, 27);
-        model.save(dir.join("stale.json")).unwrap();
-        let reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(8));
-        let (a, _) = reg.get("stale").unwrap();
-        assert!(reg.evict("stale"));
-        let (b, fetch) = reg.get("stale").unwrap();
-        assert_eq!(fetch, Fetch::Miss);
-        assert!(!Arc::ptr_eq(&a, &b));
-        // An answer computed on A outside the lock, stored after B
-        // replaced it, is dropped; the same answer from B is kept.
-        let scan = &model.samples()[0];
-        let floor = a.assign(scan).unwrap();
-        reg.lock()
-            .store_answer("stale", &a, ScanKey::of(scan), floor);
-        assert_eq!(reg.snapshot().cache_entries, 0, "stale generation cached");
-        reg.lock()
-            .store_answer("stale", &b, ScanKey::of(scan), floor);
-        assert_eq!(reg.snapshot().cache_entries, 1);
-        assert_eq!(reg.stats().assign_cache.insertions, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn assign_batch_dedupes_and_matches_uncached_fanout() {
-        let dir = temp_dir("ans_batch");
-        let model = quick_model("batch", 15, 26);
-        model.save(dir.join("batch.json")).unwrap();
-        let reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
-        // Batch with an in-batch duplicate and an alien (error) scan.
-        let alien = fis_types::SignalSample::builder(777)
-            .reading(
-                fis_types::MacAddr::from_u64(0xFFFF_FFFF_FF02),
-                fis_types::Rssi::new(-44.0).unwrap(),
-            )
-            .build();
-        let scans = vec![
-            model.samples()[0].clone(),
-            model.samples()[1].clone(),
-            model.samples()[0].clone(), // duplicate of slot 0
-            alien,
-        ];
-        let cached = reg.assign_batch("batch", &scans, 2).unwrap();
-        let uncached = model.assign_stream(&scans, 2);
-        assert_eq!(cached.len(), uncached.len());
-        for (c, u) in cached.iter().zip(&uncached) {
-            match (c, u) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b),
-                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-                other => panic!("outcomes diverged: {other:?}"),
-            }
-        }
-        let c = reg.stats().assign_cache;
-        assert_eq!(c.hits, 1, "the in-batch duplicate is a hit");
-        assert_eq!(c.misses, 3);
-        assert_eq!(c.insertions, 2, "the error answer is not cached");
-        // Replaying the whole batch is now all hits except the error.
-        let replay = reg.assign_batch("batch", &scans, 2).unwrap();
-        for (r, u) in replay.iter().zip(&uncached) {
-            assert_eq!(r.is_ok(), u.is_ok());
-        }
-        assert_eq!(reg.stats().assign_cache.hits, 1 + 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn evict_then_reload_is_bit_identical() {
         let dir = temp_dir("roundtrip");
         quick_model("rt", 15, 10).save(dir.join("rt.json")).unwrap();
         let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let (first, _) = reg.get("rt").unwrap();
+        let scan = first.samples()[0].clone();
+        let before = assign_one(&reg, "rt", &scan);
         assert!(reg.evict("rt"));
         assert!(!reg.evict("rt"));
         let (second, fetch) = reg.get("rt").unwrap();
         assert_eq!(fetch, Fetch::Miss);
         assert_eq!(first.to_json_string(), second.to_json_string());
+        assert_eq!(assign_one(&reg, "rt", &scan), before);
+        assert_eq!(before, first.assign(&scan).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 

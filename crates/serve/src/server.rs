@@ -376,11 +376,11 @@ impl Daemon {
         }
     }
 
-    /// The single assign path both `assign` and `assign_batch` share.
-    /// Content-seeded per-scan RNGs keep the fan-out on the PR 2
-    /// determinism contract for any thread count or batch order, and the
-    /// registry's answer cache only replays answers that contract
-    /// already fixes.
+    /// The single assign path both `assign` and `assign_batch` share: a
+    /// registry fetch, then [`fis_core::FittedModel::assign_stream`] on
+    /// the fetched model, outside every lock. Content-seeded per-scan
+    /// RNGs keep the fan-out bit-identical for any thread count or batch
+    /// order.
     #[allow(clippy::type_complexity)]
     fn run_assign(
         &self,
@@ -388,20 +388,17 @@ impl Daemon {
         scans: &[fis_types::SignalSample],
     ) -> Result<Vec<Result<fis_types::FloorId, fis_core::FisError>>, ServeError> {
         // The span opens before the registry call so the registry's
-        // load / cache-lookup events nest under it (same thread).
+        // load events nest under it (same thread).
         let mut span = obs::span(Level::Debug, "daemon", "assign");
         span.str("building", building)
             .num("scans", scans.len() as f64);
-        let result = self
-            .registry
-            .assign_batch(building, scans, self.config.threads);
-        if let Ok(results) = &result {
-            span.num(
-                "failures",
-                results.iter().filter(|r| r.is_err()).count() as f64,
-            );
-        }
-        result
+        let (model, _) = self.registry.get(building)?;
+        let results = model.assign_stream(scans, self.config.threads);
+        span.num(
+            "failures",
+            results.iter().filter(|r| r.is_err()).count() as f64,
+        );
+        Ok(results)
     }
 
     /// The v2 `extend` op: clone the live model, grow it with the new
@@ -437,7 +434,7 @@ impl Daemon {
     }
 
     /// The v2 `swap` op: put the artifact now on disk live, replacing
-    /// the resident entry (answer cache included). This is the only way
+    /// the resident entry. This is the only way
     /// a rewritten artifact reaches a resident building.
     fn swap(&self, building: &str) -> Result<Response, ServeError> {
         let mut span = obs::span(Level::Info, "daemon", "swap");
@@ -573,6 +570,8 @@ mod tests {
             2,
             Json::parse(r#"{"id":999,"readings":[["ff:ff:ff:ff:ff:0f",-40.0]]}"#).unwrap(),
         );
+        // A repeat of slot 0's scan at the end answers like slot 0.
+        scans.push(scans[0].clone());
         let line = Json::obj([
             ("op", Json::Str("assign_batch".into())),
             ("building", Json::Str("batch".into())),
@@ -581,10 +580,10 @@ mod tests {
         .to_string();
         let (response, _) = daemon.handle_line(&line);
         assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(response.get("count").unwrap().as_usize(), Some(5));
+        assert_eq!(response.get("count").unwrap().as_usize(), Some(6));
         assert_eq!(response.get("failures").unwrap().as_usize(), Some(1));
         let rows = response.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(rows.len(), 5);
+        assert_eq!(rows.len(), 6);
         assert_eq!(rows[2].get("scan_id").unwrap().as_usize(), Some(999));
         assert_eq!(
             rows[2].get("error").unwrap().get("kind").unwrap().as_str(),
@@ -595,6 +594,8 @@ mod tests {
                 assert!(row.get("floor").is_some(), "row {i} has a floor");
             }
         }
+        assert_eq!(rows[5].get("scan_id"), rows[0].get("scan_id"));
+        assert_eq!(rows[5].get("floor"), rows[0].get("floor"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,5 +1,5 @@
-//! 64-bit FNV-1a: the content hash behind the per-scan inference seed,
-//! the serving answer-cache key and trace ids.
+//! 64-bit FNV-1a: the content hash behind the per-scan inference seed
+//! and trace ids.
 //!
 //! The inference seed feeds every served answer, so this function's
 //! output is part of the artifact contract: changing it changes answers

@@ -12,8 +12,8 @@
 //! - [`Building`]: a building's worth of samples with ground-truth labels
 //!   (used only for evaluation and for choosing the single anchor label).
 //! - [`Dataset`]: a named collection of buildings with corpus statistics.
-//! - [`fnv`]: the 64-bit FNV-1a content hash (inference seeds, cache
-//!   keys, trace ids).
+//! - [`fnv`]: the 64-bit FNV-1a content hash (inference seeds, trace
+//!   ids).
 //! - [`stats`]: spillover statistics (the Figure 1(b) histogram and
 //!   per-floor-pair shared-MAC counts).
 //!

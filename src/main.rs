@@ -93,8 +93,8 @@ const USAGE: &str = "usage:
 [--out FILE]
   fis-one extend   --model FILE --scans FILE [--building NAME] --out FILE
   fis-one serve    --models DIR [--tcp ADDR] [--pool W] [--max-models N] \
-[--max-bytes B] [--max-batch K] [--threads T] [--assign-cache C] \
-[--trace FILE] [--metrics FILE]
+[--max-bytes B] [--max-batch K] [--threads T] [--trace FILE] \
+[--metrics FILE]
   fis-one stats    --corpus FILE
   fis-one trace    summarize FILE
 
@@ -129,8 +129,6 @@ resident model is reread only on a v2 swap), speaking newline-delimited
 JSON on stdin/stdout, or on a TCP listener with --tcp HOST:PORT. TCP mode
 serves connections concurrently on a bounded pool of --pool W worker
 threads (default: one per core, clamped to 2..=8).
---assign-cache C keeps up to C recent answers per model, keyed by
-scan content — answers are bit-identical with the cache on or off.
 Frames with \"v\":2 additionally unlock the mutation ops extend (grow
 a served model in place, atomically republished) and swap (put the
 artifact now on disk live; to publish a refit, write it, then swap);
@@ -504,8 +502,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     };
     let registry = RegistryConfig::new(dir)
         .max_models(flag("max-models")? as usize)
-        .max_bytes(flag("max-bytes")?)
-        .assign_cache(flag("assign-cache")? as usize);
+        .max_bytes(flag("max-bytes")?);
     let daemon = Daemon::new(
         DaemonConfig::new(registry)
             .threads(flag("threads")? as usize)

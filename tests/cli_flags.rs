@@ -40,6 +40,11 @@ fn unknown_flags_are_rejected_with_exit_code_2() {
             &["assign", "--model", "m.json", "--max-bytes", "9"],
             "--max-bytes",
         ),
+        // The retired answer-cache size: gone from serve's usage line.
+        (
+            &["serve", "--models", "DIR", "--assign-cache", "4096"],
+            "--assign-cache",
+        ),
     ] {
         let command = args[0];
         let (code, stderr) = run(args);

@@ -322,9 +322,7 @@ fn daemon_extend_matches_library_extend_byte_for_byte() {
     let mut reference = FittedModel::load(&path).expect("load");
     reference.extend(&epochs[0]).expect("extend");
 
-    let daemon = Daemon::new(DaemonConfig::new(
-        RegistryConfig::new(&dir).max_models(2).assign_cache(64),
-    ));
+    let daemon = Daemon::new(DaemonConfig::new(RegistryConfig::new(&dir).max_models(2)));
     let survey = model.samples().to_vec();
     let before: Vec<String> = survey
         .iter()

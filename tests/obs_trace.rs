@@ -162,9 +162,7 @@ fn journals_reconstruct_client_traced_requests_and_answers_stay_bit_identical() 
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let daemon = Daemon::new(DaemonConfig::new(
-        RegistryConfig::new(&models).assign_cache(64),
-    ));
+    let daemon = Daemon::new(DaemonConfig::new(RegistryConfig::new(&models)));
     let server = std::thread::spawn(move || daemon.serve_tcp(&listener).unwrap());
 
     // Leg 1: everything off — the reference answers.
@@ -174,8 +172,7 @@ fn journals_reconstruct_client_traced_requests_and_answers_stay_bit_identical() 
     let logged = assign_raw(&addr, &building, None);
     // Leg 3: stderr off again, journal recording, every frame carrying
     // a client-supplied trace context, and the model evicted first so
-    // the leg's first assign reloads it under the answer cache —
-    // answers must not move.
+    // the leg's first assign reloads it — answers must not move.
     obs::set_level(None);
     let mut evict = TcpStream::connect(&addr).unwrap();
     writeln!(
@@ -242,14 +239,14 @@ fn journals_reconstruct_client_traced_requests_and_answers_stay_bit_identical() 
             .unwrap_or_else(|| panic!("no assign span under request for trace {trace}"));
         assert!(assign.get("dur_ns").is_some(), "assign span is untimed");
         // The registry is consulted inside the assign span (artifact
-        // load on the first request, answer-cache lookups after), and
-        // its events inherit the same trace.
+        // load on the first request, resident hits after), and its
+        // events inherit the same trace.
         let registry_hop = events
             .iter()
             .any(|e| field(e, "component") == Some("registry") && field(e, "trace") == Some(trace));
         assert!(registry_hop, "no registry event joined trace {trace}");
     }
-    // The reload inside an answer-cached assign leaves its `load` event,
+    // The reload inside the leg's first assign leaves its `load` event,
     // timed: its own read and decode, their sum, and its wait on the slot.
     let misses: Vec<&Json> = find(&events, "registry", "load")
         .into_iter()

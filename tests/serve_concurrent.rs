@@ -134,16 +134,14 @@ fn pooled_daemon_serves_interleaved_clients_bit_identically() {
     let (building, dir) = stage_golden("pool");
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let daemon = Daemon::new(
-        DaemonConfig::new(RegistryConfig::new(&dir).assign_cache(64)).pool(CLIENTS + 2),
-    );
+    let daemon = Daemon::new(DaemonConfig::new(RegistryConfig::new(&dir)).pool(CLIENTS + 2));
     let server = std::thread::spawn(move || daemon.serve_tcp(&listener).unwrap());
 
     let all: Vec<usize> = (0..building.samples().len()).collect();
 
     // Sequential single-connection baseline first, then the same scans
-    // again over interleaved concurrent clients — the second pass also
-    // replays against a *warm* answer cache, which must be invisible.
+    // again over interleaved concurrent clients against the now-resident
+    // model, which must be invisible.
     let sequential = assign_interleaved_baseline(&addr, &building, &all);
     let concurrent = assign_interleaved(&addr, &building, &all);
     assert_eq!(

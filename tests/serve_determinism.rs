@@ -125,12 +125,11 @@ fn daemon_matches_golden_assign_fixture_across_threads_and_evictions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The answer cache is an invisible optimization: for any capacity —
-/// disabled, pathologically small, or larger than the working set — and
-/// any interleaving of warm batches, evictions, and swaps, a
-/// cache-enabled daemon serves bit-identically to a cache-off one.
+/// Residency history is invisible in the answers: cold, warm,
+/// post-evict, post-swap and rewarmed batches on one daemon all serve
+/// bit-identically to direct `FittedModel::assign`.
 #[test]
-fn answer_cache_never_changes_answers() {
+fn evictions_and_swaps_never_change_answers() {
     let corpus = io::load_jsonl(fixture("golden_corpus.jsonl")).expect("golden corpus");
     let building = &corpus.buildings()[0];
     let model = FisOne::new(FisOneConfig::default().seed(GOLDEN_SEED))
@@ -141,79 +140,64 @@ fn answer_cache_never_changes_answers() {
             building.bottom_anchor().expect("bottom surveyed"),
         )
         .expect("golden building fits");
-    let dir = std::env::temp_dir().join(format!("fis_serve_cache_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("fis_serve_rounds_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let artifact = dir.join(format!("{}.json", building.name()));
     model.save(&artifact).unwrap();
 
-    // Cache-off reference: one direct assign per scan.
+    // Reference: one direct assign per scan.
     let reference: Vec<usize> = building
         .samples()
         .iter()
         .map(|s| model.assign(s).expect("training scan assigns").index())
         .collect();
 
-    for capacity in [0usize, 1, 1 << 14] {
-        let daemon = Daemon::new(DaemonConfig::new(
-            RegistryConfig::new(&dir).assign_cache(capacity),
-        ));
-        let mut rounds = Vec::new();
-        rounds.push((
-            "cold",
-            serve_batch(&daemon, building.name(), building.samples()),
-        ));
-        rounds.push((
-            "warm",
-            serve_batch(&daemon, building.name(), building.samples()),
-        ));
+    let daemon = Daemon::new(DaemonConfig::new(RegistryConfig::new(&dir)));
+    let mut rounds = Vec::new();
+    rounds.push((
+        "cold",
+        serve_batch(&daemon, building.name(), building.samples()),
+    ));
+    rounds.push((
+        "warm",
+        serve_batch(&daemon, building.name(), building.samples()),
+    ));
 
-        // Evict drops the model *and* its cache; answers must not move.
-        let (response, _) = daemon.handle_line(&format!(
-            r#"{{"op":"evict","building":"{}"}}"#,
-            building.name()
-        ));
-        assert_eq!(response.get("evicted"), Some(&Json::Bool(true)));
-        rounds.push((
-            "post-evict",
-            serve_batch(&daemon, building.name(), building.samples()),
-        ));
+    // Evict drops the model; answers must not move.
+    let (response, _) = daemon.handle_line(&format!(
+        r#"{{"op":"evict","building":"{}"}}"#,
+        building.name()
+    ));
+    assert_eq!(response.get("evicted"), Some(&Json::Bool(true)));
+    rounds.push((
+        "post-evict",
+        serve_batch(&daemon, building.name(), building.samples()),
+    ));
 
-        // Swap: replace the resident entry (and its cache) with a fresh
-        // read of the artifact.
-        let (response, _) = daemon.handle_line(&format!(
-            r#"{{"v":2,"op":"swap","building":"{}"}}"#,
-            building.name()
-        ));
-        assert_eq!(response.get("evicted"), Some(&Json::Bool(true)));
-        rounds.push((
-            "post-swap",
-            serve_batch(&daemon, building.name(), building.samples()),
-        ));
-        rounds.push((
-            "rewarmed",
-            serve_batch(&daemon, building.name(), building.samples()),
-        ));
-        assert!(
-            daemon.registry().stats().reloads >= 1,
-            "swap did not reload"
+    // Swap: replace the resident entry with a fresh read of the artifact.
+    let (response, _) = daemon.handle_line(&format!(
+        r#"{{"v":2,"op":"swap","building":"{}"}}"#,
+        building.name()
+    ));
+    assert_eq!(response.get("evicted"), Some(&Json::Bool(true)));
+    rounds.push((
+        "post-swap",
+        serve_batch(&daemon, building.name(), building.samples()),
+    ));
+    rounds.push((
+        "rewarmed",
+        serve_batch(&daemon, building.name(), building.samples()),
+    ));
+    assert!(
+        daemon.registry().stats().reloads >= 1,
+        "swap did not reload"
+    );
+
+    for (label, floors) in &rounds {
+        assert_eq!(
+            floors, &reference,
+            "{label} batch diverged from FittedModel::assign"
         );
-
-        for (label, floors) in &rounds {
-            assert_eq!(
-                floors, &reference,
-                "{label} batch at cache capacity {capacity} diverged from cache-off answers"
-            );
-        }
-
-        // The counters prove the cache actually engaged (or stayed out
-        // of the way when disabled).
-        let counters = daemon.registry().stats().assign_cache;
-        if capacity == 0 {
-            assert_eq!(counters.lookups(), 0, "disabled cache saw lookups");
-        } else {
-            assert!(counters.hits > 0, "capacity {capacity} never hit");
-            assert!(counters.misses > 0, "cold batches must miss");
-        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
