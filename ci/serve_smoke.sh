@@ -535,3 +535,31 @@ EOF
 
 diff "$work/expect-smoke-1.txt" "$work/broken-smoke-1.txt"
 echo "serve smoke OK: a truncated artifact answers a typed model error while the daemon keeps serving its other buildings"
+
+# Malformed-frame pass: six bad or odd frames through the shipped
+# binary, replies diffed against the frozen v1 error texts. A frame is
+# checked in a fixed order (syntax, version, op, payload), and a field
+# the op does not read is never checked beyond its syntax, so the
+# `load` frame carrying `"scans": 3` succeeds.
+cat > "$work/frames.ndjson" <<'FRAMES'
+{"op": "assign", "building": "smoke-0", "scan"
+[1,2,3]
+{"op":"frobnicate","id":"u1"}
+{"v":3,"id":7,"op":"stats"}
+{"op":"assign","building":"smoke-0","scan":{"id":"x","readings":[]}}
+{"op":"load","building":"smoke-0","scans":3}
+{"op":"shutdown"}
+FRAMES
+cat > "$work/frames-expect.ndjson" <<'REPLIES'
+{"error":{"kind":"protocol","message":"malformed frame: dataset i/o error: json error at byte 46: expected `:`"},"ok":false}
+{"error":{"kind":"protocol","message":"request needs a string `op` field"},"ok":false}
+{"error":{"kind":"protocol","message":"unknown op `frobnicate` (expected assign, assign_batch, load, evict, stats, or shutdown)"},"id":"u1","ok":false,"op":"frobnicate"}
+{"error":{"kind":"protocol","message":"unsupported protocol version 3 (this daemon speaks 1 and 2)"},"id":7,"ok":false,"op":"stats"}
+{"error":{"kind":"protocol","message":"bad scan: dataset i/o error: sample id must be an integer in 0..=4294967295, got \"x\""},"ok":false,"op":"assign"}
+{"building":"smoke-0","fetch":"miss","floors":3,"ok":true,"op":"load","scans":90}
+{"ok":true,"op":"shutdown"}
+REPLIES
+"$bin" serve --models "$work/models" \
+    < "$work/frames.ndjson" > "$work/frames-replies.ndjson" 2>/dev/null
+diff "$work/frames-expect.ndjson" "$work/frames-replies.ndjson"
+echo "serve smoke OK: malformed frames answer their frozen protocol error texts and a load frame with an unread bad field succeeds"

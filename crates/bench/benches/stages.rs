@@ -189,22 +189,51 @@ fn bench_fit(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 240-scan building (4 floors x 60 scans) and 8 fresh held-out scans
+/// of it: one end-to-end benchmark tenant and one of its request frames.
+fn served_queries() -> fis_synth::TemporalCorpus {
+    let base = BuildingConfig::new("bench", 4)
+        .samples_per_floor(60)
+        .seed(7);
+    fis_synth::TemporalConfig::new(
+        base,
+        fis_synth::DriftScenario::MixedDensity { cycle: vec![1.0] },
+    )
+    .epochs(1)
+    .scans_per_epoch(8)
+    .generate()
+}
+
+/// Decoding one `assign_batch` request line as the end-to-end benchmark
+/// sends it (8 held-out scans of a 240-scan building): one pass over
+/// the line, straight into typed scans.
+fn bench_parse_frame(c: &mut Criterion) {
+    use fis_types::json::{Json, ToJson};
+    let scans = served_queries().epochs[0]
+        .samples
+        .iter()
+        .map(ToJson::to_json)
+        .collect();
+    let line = Json::obj([
+        ("op", Json::Str("assign_batch".into())),
+        ("building", Json::Str("t0".into())),
+        ("scans", Json::Arr(scans)),
+    ])
+    .to_string();
+    let mut group = c.benchmark_group("serve");
+    group.bench_function("parse_frame(8-scan assign_batch)", |bench| {
+        bench.iter(|| fis_serve::protocol::parse_frame(std::hint::black_box(&line)).unwrap())
+    });
+    group.finish();
+}
+
 /// One served `assign_batch` frame as the end-to-end benchmark sends it:
 /// 8 held-out scans against a default-config 240-scan model (4 floors x
 /// 60 scans) at the default thread budget. Unlike the `assign/*` stages,
 /// which time only the 1-NN, this runs the whole per-scan path: RF-GNN
 /// inference over the training graph, then the VP-tree lookup.
 fn bench_assign_stream(c: &mut Criterion) {
-    let base = BuildingConfig::new("bench", 4)
-        .samples_per_floor(60)
-        .seed(7);
-    let corpus = fis_synth::TemporalConfig::new(
-        base,
-        fis_synth::DriftScenario::MixedDensity { cycle: vec![1.0] },
-    )
-    .epochs(1)
-    .scans_per_epoch(8)
-    .generate();
+    let corpus = served_queries();
     let building = &corpus.building;
     let model = fis_core::FisOne::new(fis_core::FisOneConfig::default().seed(0))
         .fit(
@@ -530,6 +559,7 @@ criterion_group!(
     bench_model_load,
     bench_registry,
     bench_corpus_parse,
+    bench_parse_frame,
     bench_graph_construction,
     bench_random_walks,
     bench_fit,

@@ -1147,35 +1147,16 @@ fn required<T>(field: Option<T>, key: &str) -> Result<T, FisError> {
     field.ok_or_else(|| FisError::Model(format!("missing field `{key}`")))
 }
 
-/// The items of an array, each read by `item`; `not_array` is the
-/// message when the value is not an array.
-fn read_array<'a, T>(
-    r: &mut Reader<'a>,
-    not_array: impl FnOnce() -> String,
-    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, Invalid>,
-) -> Result<Vec<T>, Invalid> {
-    if r.peek()? != Kind::Arr {
-        return Err(Invalid(not_array()));
-    }
-    let (mut out, mut items) = (Vec::new(), r.array()?);
-    while r.next_item(&mut items)? {
-        out.push(item(r)?);
-    }
-    Ok(out)
-}
-
 fn read_macs(r: &mut Reader<'_>) -> Result<Vec<MacAddr>, Invalid> {
-    read_array(
-        r,
-        || "`macs` must be an array".into(),
+    r.array_of(
+        || Invalid("`macs` must be an array".into()),
         |r| Ok(MacAddr::read(r)?),
     )
 }
 
 fn read_samples(r: &mut Reader<'_>, what: &str) -> Result<Vec<SignalSample>, Invalid> {
-    read_array(
-        r,
-        || format!("`{what}` must be an array"),
+    r.array_of(
+        || Invalid(format!("`{what}` must be an array")),
         |r| Ok(SignalSample::read(r)?),
     )
 }
@@ -1192,9 +1173,8 @@ fn read_number(r: &mut Reader<'_>) -> Result<Option<f64>, TypeError> {
 /// before it held: rows of one array share their width.
 fn read_float_rows(r: &mut Reader<'_>, what: &str) -> Result<Vec<Vec<f64>>, Invalid> {
     let mut width = 0;
-    read_array(
-        r,
-        || format!("`{what}` must be an array"),
+    r.array_of(
+        || Invalid(format!("`{what}` must be an array")),
         |r| {
             if r.peek()? != Kind::Arr {
                 return Err(Invalid(format!("`{what}` rows must be arrays")));
@@ -1212,9 +1192,8 @@ fn read_float_rows(r: &mut Reader<'_>, what: &str) -> Result<Vec<Vec<f64>>, Inva
 }
 
 fn read_indices(r: &mut Reader<'_>, what: &str) -> Result<Vec<usize>, Invalid> {
-    read_array(
-        r,
-        || format!("`{what}` must be an array"),
+    r.array_of(
+        || Invalid(format!("`{what}` must be an array")),
         |r| {
             read_number(r)?
                 .and_then(|n| Json::Num(n).as_usize())

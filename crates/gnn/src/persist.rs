@@ -10,7 +10,7 @@
 //! number, with no [`Json`] tree for the matrices.
 
 use fis_linalg::Matrix;
-use fis_types::json::{missing_field, FromJson, Json, Kind, Reader, ToJson};
+use fis_types::json::{missing_field, Json, Kind, Reader, ToJson};
 use fis_types::TypeError;
 
 use crate::config::RfGnnConfig;
@@ -135,8 +135,15 @@ impl ToJson for RfGnnConfig {
     }
 }
 
-impl FromJson for RfGnnConfig {
-    fn from_json(value: &Json) -> Result<Self, TypeError> {
+impl RfGnnConfig {
+    /// Decodes the small config object that [`RfGnn::read`] keeps as a
+    /// [`Json`] subtree, then [`RfGnnConfig::validate`]s it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] naming the first missing, wrongly
+    /// typed or invalid field.
+    pub fn from_json(value: &Json) -> Result<Self, TypeError> {
         let dim = usize_field(value, "dim")?;
         if dim == 0 {
             return Err(TypeError::Io("`dim` must be positive".to_owned()));
@@ -239,14 +246,10 @@ impl RfGnn {
 
 /// The `weights` array of per-hop matrices.
 fn read_weights(r: &mut Reader<'_>) -> Result<Vec<Matrix>, TypeError> {
-    if r.peek()? != Kind::Arr {
-        return Err(TypeError::Io("`weights` must be an array".to_owned()));
-    }
-    let (mut weights, mut items) = (Vec::new(), r.array()?);
-    while r.next_item(&mut items)? {
-        weights.push(read_matrix(r)?);
-    }
-    Ok(weights)
+    r.array_of(
+        || TypeError::Io("`weights` must be an array".to_owned()),
+        read_matrix,
+    )
 }
 
 #[cfg(test)]
@@ -307,7 +310,7 @@ mod tests {
     fn config_codec_validates() {
         let mut config = RfGnnConfig::new(4);
         config.seed = u64::MAX;
-        let back = RfGnnConfig::from_json_str(&config.to_json_string()).unwrap();
+        let back = RfGnnConfig::from_json(&config.to_json()).unwrap();
         assert_eq!(back, config);
         // Tampered hop count must be rejected by validate().
         let mut json = config.to_json();

@@ -94,8 +94,11 @@ impl TraceContext {
     }
 }
 
+/// Exactly 16 ASCII hex digits, the only form [`TraceContext::to_json`]
+/// writes. (`u64::from_str_radix` alone would also take a leading `+`,
+/// letting a 15-digit id through as a different string.)
 fn parse_hex(s: &str) -> Option<u64> {
-    (s.len() == 16)
+    (s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit()))
         .then(|| u64::from_str_radix(s, 16).ok())
         .flatten()
 }
@@ -450,6 +453,7 @@ mod tests {
         for text in [
             r#"{"trace_id":"xyz","span_id":"0000000000000000"}"#,
             r#"{"trace_id":"00"}"#,
+            r#"{"trace_id":"+123456789abcdef","span_id":"0000000000000000"}"#,
             r#"{"trace_id":7,"span_id":"0000000000000000"}"#,
             "[]",
         ] {

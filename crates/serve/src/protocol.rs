@@ -47,10 +47,22 @@
 //! `{"ok":false,"op":...,"error":{"kind":"...","message":"..."}}` on
 //! failure. Malformed frames produce a `protocol` error response — never
 //! a dropped connection, never a crash.
+//!
+//! # Decoding
+//!
+//! [`parse_frame`] reads a line once with the pull reader
+//! ([`fis_types::json::Reader`]): `id`, `v`, `op`, `building` and
+//! `trace` as small [`Json`] values, and each scan straight into a
+//! [`SignalSample`] through [`SignalSample::read`], the one scan
+//! decoder. It then checks the frame in a fixed order: a syntax error
+//! anywhere in the line, the version, the `op` field, a known op, and
+//! last the op's payload (`building` first, then `scan` or `scans`). A
+//! later duplicate key replaces an earlier one, and a field the op does
+//! not read is never checked beyond its syntax.
 
 use fis_obs::TraceContext;
-use fis_types::json::{FromJson, Json};
-use fis_types::SignalSample;
+use fis_types::json::{Json, Kind, Reader};
+use fis_types::{SignalSample, TypeError};
 
 use crate::error::ServeError;
 
@@ -157,67 +169,42 @@ pub struct FrameError {
 }
 
 /// One wire operation: its name, the first protocol version that
-/// accepts it, and its payload parser.
+/// accepts it, and its payload parser, which reads the frame's fields.
 ///
 /// The table ([`OPS`]) is the single registration point for query and
 /// mutation ops alike: [`parse_frame`] dispatches through it, and the
 /// unknown-op error text enumerates exactly the names the negotiated
 /// version admits — so adding an op is one table row, not a scattered
 /// match-arm edit.
-struct OpSpec {
-    name: &'static str,
-    min_version: u8,
-    parse: fn(&Json) -> Result<Request, ServeError>,
-}
+struct OpSpec(&'static str, u8, fn(Fields) -> Result<Request, ServeError>);
 
 /// Declarative op registry, in wire-documentation order. v1 ops first so
 /// the v1 unknown-op message renders its historical text verbatim.
 const OPS: &[OpSpec] = &[
-    OpSpec {
-        name: "assign",
-        min_version: 1,
-        parse: parse_assign,
-    },
-    OpSpec {
-        name: "assign_batch",
-        min_version: 1,
-        parse: parse_assign_batch,
-    },
-    OpSpec {
-        name: "load",
-        min_version: 1,
-        parse: parse_load,
-    },
-    OpSpec {
-        name: "evict",
-        min_version: 1,
-        parse: parse_evict,
-    },
-    OpSpec {
-        name: "stats",
-        min_version: 1,
-        parse: |_| Ok(Request::Stats),
-    },
-    OpSpec {
-        name: "shutdown",
-        min_version: 1,
-        parse: |_| Ok(Request::Shutdown),
-    },
-    OpSpec {
-        name: "extend",
-        min_version: 2,
-        parse: parse_extend,
-    },
-    OpSpec {
-        name: "swap",
-        min_version: 2,
-        parse: parse_swap,
-    },
-    OpSpec {
-        name: "metrics",
-        min_version: 2,
-        parse: |_| Ok(Request::Metrics),
-    },
+    OpSpec("assign", 1, |mut f| {
+        let (building, scan) = (f.building()?, f.scan()?);
+        Ok(Request::Assign { building, scan })
+    }),
+    OpSpec("assign_batch", 1, |mut f| {
+        let (building, scans) = (f.building()?, f.scans("assign_batch")?);
+        Ok(Request::AssignBatch { building, scans })
+    }),
+    OpSpec("load", 1, |mut f| {
+        f.building().map(|building| Request::Load { building })
+    }),
+    OpSpec("evict", 1, |mut f| {
+        f.building().map(|building| Request::Evict { building })
+    }),
+    OpSpec("stats", 1, |_| Ok(Request::Stats)),
+    OpSpec("shutdown", 1, |_| Ok(Request::Shutdown)),
+    OpSpec("extend", 2, |mut f| {
+        let (building, scans) = (f.building()?, f.scans("extend")?);
+        Ok(Request::Extend { building, scans })
+    }),
+    OpSpec("swap", 2, |mut f| {
+        f.building().map(|building| Request::Swap { building })
+    }),
+    OpSpec("metrics", 2, |_| Ok(Request::Metrics)),
 ];
 
 /// The op names a protocol version admits, rendered as an English list
@@ -225,8 +212,8 @@ const OPS: &[OpSpec] = &[
 fn expected_ops(version: u8) -> String {
     let names: Vec<&str> = OPS
         .iter()
-        .filter(|spec| spec.min_version <= version)
-        .map(|spec| spec.name)
+        .filter(|OpSpec(_, min_version, _)| *min_version <= version)
+        .map(|OpSpec(name, ..)| *name)
         .collect();
     match names.split_last() {
         Some((last, rest)) if !rest.is_empty() => format!("{}, or {last}", rest.join(", ")),
@@ -235,93 +222,111 @@ fn expected_ops(version: u8) -> String {
     }
 }
 
-fn building_of(json: &Json) -> Result<String, ServeError> {
-    let building = json
-        .get("building")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ServeError::Protocol("request needs a string `building` field".into()))?;
-    if building.is_empty() {
-        return Err(ServeError::Protocol("`building` must be non-empty".into()));
+/// A frame's fields, read in one pass over the line: the small ones as
+/// [`Json`] values, scans straight into [`SignalSample`]s. A scan's shape
+/// error waits in its slot, so an op never fails on a field it does not
+/// read, and a later duplicate key replaces an earlier one.
+#[derive(Default)]
+struct Fields {
+    id: Option<Json>,
+    v: Option<Json>,
+    /// `None` when absent or not a string, as for `building`.
+    op: Option<String>,
+    building: Option<String>,
+    trace: Option<Json>,
+    scan: Option<Result<SignalSample, TypeError>>,
+    /// `Err(None)` when `scans` is not an array.
+    scans: Option<Result<Vec<SignalSample>, Option<TypeError>>>,
+}
+
+impl Fields {
+    /// Reads one frame line. A non-object frame has no fields.
+    fn read(line: &str) -> Result<Self, TypeError> {
+        let (mut r, mut f) = (Reader::new(line), Fields::default());
+        let string = |value| match value {
+            Json::Str(s) => Some(s),
+            _ => None,
+        };
+        if r.peek()? == Kind::Obj {
+            let mut keys = r.object()?;
+            while let Some(key) = r.next_key(&mut keys)? {
+                match key.as_ref() {
+                    "id" => f.id = Some(r.value()?),
+                    "v" => f.v = Some(r.value()?),
+                    "op" => f.op = string(r.value()?),
+                    "building" => f.building = string(r.value()?),
+                    "trace" => f.trace = Some(r.value()?),
+                    "scan" => f.scan = Some(r.decode(SignalSample::read)?),
+                    "scans" => {
+                        let scan = |r: &mut Reader| SignalSample::read(r).map_err(Some);
+                        f.scans = Some(r.decode(|r| r.array_of(|| None, scan))?);
+                    }
+                    _ => r.skip()?,
+                }
+            }
+        } else {
+            r.skip()?;
+        }
+        r.finish()?;
+        Ok(f)
     }
-    Ok(building.to_owned())
-}
 
-fn scan_of(value: &Json) -> Result<SignalSample, ServeError> {
-    SignalSample::from_json(value).map_err(|e| ServeError::Protocol(format!("bad scan: {e}")))
-}
+    /// The envelope version: no `"v"` key is v1, `"v": 1` / `"v": 2`
+    /// select explicitly, anything else is a typed protocol error.
+    fn version(&self) -> Result<u8, ServeError> {
+        match &self.v {
+            None => Ok(1),
+            Some(v) => match v.as_usize() {
+                Some(1) => Ok(1),
+                Some(2) => Ok(2),
+                _ => Err(ServeError::Protocol(format!(
+                    "unsupported protocol version {v} (this daemon speaks 1 and {PROTOCOL_VERSION})"
+                ))),
+            },
+        }
+    }
 
-fn scans_of(json: &Json, op: &str) -> Result<Vec<SignalSample>, ServeError> {
-    json.get("scans")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ServeError::Protocol(format!("{op} needs a `scans` array")))
-        .and_then(|arr| arr.iter().map(scan_of).collect())
-}
+    fn building(&mut self) -> Result<String, ServeError> {
+        match self.building.take() {
+            Some(building) if !building.is_empty() => Ok(building),
+            Some(_) => Err(ServeError::Protocol("`building` must be non-empty".into())),
+            None => Err(ServeError::Protocol(
+                "request needs a string `building` field".into(),
+            )),
+        }
+    }
 
-fn parse_assign(json: &Json) -> Result<Request, ServeError> {
-    Ok(Request::Assign {
-        building: building_of(json)?,
-        scan: json
-            .get("scan")
-            .ok_or_else(|| ServeError::Protocol("assign needs a `scan` object".into()))
-            .and_then(scan_of)?,
-    })
-}
+    fn scan(self) -> Result<SignalSample, ServeError> {
+        self.scan
+            .ok_or_else(|| ServeError::Protocol("assign needs a `scan` object".into()))?
+            .map_err(bad_scan)
+    }
 
-fn parse_assign_batch(json: &Json) -> Result<Request, ServeError> {
-    Ok(Request::AssignBatch {
-        building: building_of(json)?,
-        scans: scans_of(json, "assign_batch")?,
-    })
-}
-
-fn parse_load(json: &Json) -> Result<Request, ServeError> {
-    Ok(Request::Load {
-        building: building_of(json)?,
-    })
-}
-
-fn parse_evict(json: &Json) -> Result<Request, ServeError> {
-    Ok(Request::Evict {
-        building: building_of(json)?,
-    })
-}
-
-fn parse_extend(json: &Json) -> Result<Request, ServeError> {
-    Ok(Request::Extend {
-        building: building_of(json)?,
-        scans: scans_of(json, "extend")?,
-    })
-}
-
-fn parse_swap(json: &Json) -> Result<Request, ServeError> {
-    Ok(Request::Swap {
-        building: building_of(json)?,
-    })
-}
-
-/// Reads the envelope version: no `"v"` key is v1, `"v": 1` / `"v": 2`
-/// select explicitly, anything else is a typed protocol error.
-fn version_of(json: &Json) -> Result<u8, ServeError> {
-    match json.get("v") {
-        None => Ok(1),
-        Some(v) => match v.as_usize() {
-            Some(1) => Ok(1),
-            Some(2) => Ok(2),
-            _ => Err(ServeError::Protocol(format!(
-                "unsupported protocol version {v} (this daemon speaks 1 and {PROTOCOL_VERSION})"
-            ))),
-        },
+    fn scans(self, op: &str) -> Result<Vec<SignalSample>, ServeError> {
+        match self.scans {
+            Some(Ok(scans)) => Ok(scans),
+            Some(Err(Some(e))) => Err(bad_scan(e)),
+            Some(Err(None)) | None => {
+                Err(ServeError::Protocol(format!("{op} needs a `scans` array")))
+            }
+        }
     }
 }
 
-/// Parses one request line.
+fn bad_scan(e: TypeError) -> ServeError {
+    ServeError::Protocol(format!("bad scan: {e}"))
+}
+
+/// Parses one request line in a single pass, then validates it in a
+/// fixed order: syntax, version, `op`, a known op, then the op's
+/// payload (`building` first, then `scan` or `scans`).
 ///
 /// # Errors
 ///
 /// Returns a [`FrameError`] carrying whatever correlation info was
 /// readable plus the typed protocol error.
 pub fn parse_frame(line: &str) -> Result<Frame, Box<FrameError>> {
-    let json = Json::parse(line).map_err(|e| {
+    let mut fields = Fields::read(line).map_err(|e| {
         Box::new(FrameError {
             id: None,
             op: None,
@@ -329,48 +334,32 @@ pub fn parse_frame(line: &str) -> Result<Frame, Box<FrameError>> {
             error: ServeError::Protocol(format!("malformed frame: {e}")),
         })
     })?;
-    let id = json.get("id").cloned();
-    let version = match version_of(&json) {
-        Ok(version) => version,
-        Err(error) => {
-            return Err(Box::new(FrameError {
-                id,
-                op: json.get("op").and_then(Json::as_str).map(str::to_owned),
-                version: 1,
-                error,
-            }))
-        }
-    };
-    let fail = |op: Option<String>, error: ServeError| {
+    let (id, op) = (fields.id.take(), fields.op.take());
+    let fail = |version, error| {
         Box::new(FrameError {
             id: id.clone(),
-            op,
+            op: op.clone(),
             version,
             error,
         })
     };
-    let Some(op) = json.get("op").and_then(Json::as_str).map(str::to_owned) else {
-        return Err(fail(
-            None,
-            ServeError::Protocol("request needs a string `op` field".into()),
-        ));
+    let version = fields.version().map_err(|e| fail(1, e))?;
+    let Some(name) = op.as_deref() else {
+        let error = ServeError::Protocol("request needs a string `op` field".into());
+        return Err(fail(version, error));
     };
-    let Some(spec) = OPS
+    let Some(OpSpec(_, _, parse)) = OPS
         .iter()
-        .find(|spec| spec.name == op && spec.min_version <= version)
+        .find(|OpSpec(op, min_version, _)| *op == name && *min_version <= version)
     else {
-        return Err(fail(
-            Some(op.clone()),
-            ServeError::Protocol(format!(
-                "unknown op `{op}` (expected {})",
-                expected_ops(version)
-            )),
-        ));
+        let expected = expected_ops(version);
+        let error = ServeError::Protocol(format!("unknown op `{name}` (expected {expected})"));
+        return Err(fail(version, error));
     };
-    let request = (spec.parse)(&json).map_err(|e| fail(Some(op.clone()), e))?;
     // Observability decoration only: a malformed trace object must never
     // fail a request, so `from_json` degrading to `None` is the contract.
-    let trace = json.get("trace").and_then(TraceContext::from_json);
+    let trace = fields.trace.as_ref().and_then(TraceContext::from_json);
+    let request = parse(fields).map_err(|e| fail(version, e))?;
     Ok(Frame {
         id,
         version,
@@ -620,6 +609,355 @@ pub fn error_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tree decoder [`parse_frame`] replaced: it parsed the whole
+    /// line into a [`Json`] tree, then walked it. The reference for
+    /// what `parse_frame` must return, error texts included.
+    fn reference_parse_frame(line: &str) -> Result<Frame, Box<FrameError>> {
+        let json = Json::parse(line).map_err(|e| {
+            Box::new(FrameError {
+                id: None,
+                op: None,
+                version: 1,
+                error: ServeError::Protocol(format!("malformed frame: {e}")),
+            })
+        })?;
+        let id = json.get("id").cloned();
+        let version = match reference_version_of(&json) {
+            Ok(version) => version,
+            Err(error) => {
+                return Err(Box::new(FrameError {
+                    id,
+                    op: json.get("op").and_then(Json::as_str).map(str::to_owned),
+                    version: 1,
+                    error,
+                }))
+            }
+        };
+        let fail = |op: Option<String>, error: ServeError| {
+            Box::new(FrameError {
+                id: id.clone(),
+                op,
+                version,
+                error,
+            })
+        };
+        let Some(op) = json.get("op").and_then(Json::as_str).map(str::to_owned) else {
+            return Err(fail(
+                None,
+                ServeError::Protocol("request needs a string `op` field".into()),
+            ));
+        };
+        if !OPS
+            .iter()
+            .any(|OpSpec(name, min_version, _)| *name == op && *min_version <= version)
+        {
+            return Err(fail(
+                Some(op.clone()),
+                ServeError::Protocol(format!(
+                    "unknown op `{op}` (expected {})",
+                    expected_ops(version)
+                )),
+            ));
+        }
+        let building = || reference_building_of(&json);
+        let request = match op.as_str() {
+            "assign" => building().and_then(|building| {
+                let scan = json
+                    .get("scan")
+                    .ok_or_else(|| ServeError::Protocol("assign needs a `scan` object".into()))
+                    .and_then(reference_scan_of)?;
+                Ok(Request::Assign { building, scan })
+            }),
+            "assign_batch" => building().and_then(|building| {
+                let scans = reference_scans_of(&json, "assign_batch")?;
+                Ok(Request::AssignBatch { building, scans })
+            }),
+            "load" => building().map(|building| Request::Load { building }),
+            "evict" => building().map(|building| Request::Evict { building }),
+            "extend" => building().and_then(|building| {
+                let scans = reference_scans_of(&json, "extend")?;
+                Ok(Request::Extend { building, scans })
+            }),
+            "swap" => building().map(|building| Request::Swap { building }),
+            "stats" => Ok(Request::Stats),
+            "metrics" => Ok(Request::Metrics),
+            "shutdown" => Ok(Request::Shutdown),
+            other => unreachable!("op table lists {other}"),
+        }
+        .map_err(|e| fail(Some(op.clone()), e))?;
+        let trace = json.get("trace").and_then(TraceContext::from_json);
+        Ok(Frame {
+            id,
+            version,
+            trace,
+            request,
+        })
+    }
+
+    fn reference_version_of(json: &Json) -> Result<u8, ServeError> {
+        match json.get("v") {
+            None => Ok(1),
+            Some(v) => match v.as_usize() {
+                Some(1) => Ok(1),
+                Some(2) => Ok(2),
+                _ => Err(ServeError::Protocol(format!(
+                    "unsupported protocol version {v} (this daemon speaks 1 and {PROTOCOL_VERSION})"
+                ))),
+            },
+        }
+    }
+
+    fn reference_building_of(json: &Json) -> Result<String, ServeError> {
+        let building = json.get("building").and_then(Json::as_str).ok_or_else(|| {
+            ServeError::Protocol("request needs a string `building` field".into())
+        })?;
+        if building.is_empty() {
+            return Err(ServeError::Protocol("`building` must be non-empty".into()));
+        }
+        Ok(building.to_owned())
+    }
+
+    fn reference_scans_of(json: &Json, op: &str) -> Result<Vec<SignalSample>, ServeError> {
+        json.get("scans")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| ServeError::Protocol(format!("{op} needs a `scans` array")))
+            .and_then(|arr| arr.iter().map(reference_scan_of).collect())
+    }
+
+    fn reference_scan_of(value: &Json) -> Result<SignalSample, ServeError> {
+        reference_scan(value).map_err(|e| ServeError::Protocol(format!("bad scan: {e}")))
+    }
+
+    /// The tree scan decoder (`SignalSample::from_json`) that
+    /// `SignalSample::read` replaced.
+    fn reference_scan(value: &Json) -> Result<SignalSample, TypeError> {
+        let id = value
+            .get("id")
+            .ok_or_else(|| TypeError::Io("missing field `id`".to_owned()))?;
+        let id = id
+            .as_usize()
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or_else(|| {
+                TypeError::Io(format!(
+                    "sample id must be an integer in 0..=4294967295, got {id}"
+                ))
+            })?;
+        let mut scan = SignalSample::builder(id);
+        let readings = value
+            .get("readings")
+            .ok_or_else(|| TypeError::Io("missing field `readings`".to_owned()))?
+            .as_arr()
+            .ok_or_else(|| TypeError::Io("readings must be an array".to_owned()))?;
+        for pair in readings {
+            let (mac, rssi) = pair
+                .as_arr()
+                .filter(|p| p.len() == 2)
+                .map(|p| (p[0].as_str(), p[1].as_f64()))
+                .ok_or_else(|| TypeError::Io("reading must be a [mac, rssi] pair".to_owned()))?;
+            let mac = mac
+                .ok_or_else(|| TypeError::Io("MAC address must be a JSON string".to_owned()))?
+                .parse()?;
+            let rssi = fis_types::Rssi::new(
+                rssi.ok_or_else(|| TypeError::Io("RSSI must be a JSON number".to_owned()))?,
+            )?;
+            scan = scan.reading(mac, rssi);
+        }
+        Ok(scan.build())
+    }
+
+    /// `frame` with its top-level keys written in reverse order (the
+    /// writer sorts them).
+    fn reversed(frame: &Json) -> String {
+        let Json::Obj(map) = frame else {
+            return frame.to_string();
+        };
+        let fields: Vec<String> = map
+            .iter()
+            .rev()
+            .map(|(k, v)| format!("{}:{v}", Json::Str(k.clone())))
+            .collect();
+        format!("{{{}}}", fields.join(","))
+    }
+
+    fn scan_json(id: f64) -> Json {
+        Json::obj([
+            ("id", Json::Num(id)),
+            (
+                "readings",
+                Json::Arr(vec![
+                    Json::Arr(vec![
+                        Json::Str("00:1a:2b:3c:4d:5e".into()),
+                        Json::Num(-61.5),
+                    ]),
+                    Json::Arr(vec![
+                        Json::Str("00:1a:2b:3c:4d:5f".into()),
+                        Json::Num(-70.0),
+                    ]),
+                ]),
+            ),
+        ])
+    }
+
+    /// Scans that break each rule of the scan decoder.
+    fn bad_scans() -> Vec<Json> {
+        [
+            r#"{"id":"x","readings":[]}"#,
+            r#"{"id":-1,"readings":[]}"#,
+            r#"{"id":4294967296,"readings":[]}"#,
+            r#"{"readings":[]}"#,
+            r#"{"id":1}"#,
+            r#"{"id":1,"readings":{}}"#,
+            r#"{"id":1,"readings":[["00:00:00:00:00:01"]]}"#,
+            r#"{"id":1,"readings":[["00:00:00:00:00:01",-50,1]]}"#,
+            r#"{"id":1,"readings":[7]}"#,
+            r#"{"id":1,"readings":[["zz:00:00:00:00:01",-50]]}"#,
+            r#"{"id":1,"readings":[[1,-50]]}"#,
+            r#"{"id":1,"readings":[["00:00:00:00:00:01",5]]}"#,
+            r#"{"id":1,"readings":[["00:00:00:00:00:01","-50"]]}"#,
+            r#"{"id":"x","readings":[7]}"#,
+            "[]",
+            "3",
+        ]
+        .iter()
+        .map(|text| Json::parse(text).unwrap())
+        .collect()
+    }
+
+    /// Every frame shape the differential test feeds both decoders.
+    fn differential_frames() -> Vec<String> {
+        let trace = Json::obj([
+            ("trace_id", Json::Str("0123456789abcdef".into())),
+            ("span_id", Json::Str("fedcba9876543210".into())),
+        ]);
+        let scans = Json::Arr((0..3).map(|i| scan_json(f64::from(i))).collect());
+        let versions = [
+            None,
+            Some(Json::Num(1.0)),
+            Some(Json::Num(2.0)),
+            Some(Json::Num(3.0)),
+            Some(Json::Str("2".into())),
+        ];
+        let mut bases = Vec::new();
+        for OpSpec(op, ..) in OPS {
+            for v in &versions {
+                let mut fields = vec![
+                    ("id", Json::Str("req-1".into())),
+                    ("op", Json::Str((*op).into())),
+                    ("trace", trace.clone()),
+                ];
+                if let Some(v) = v {
+                    fields.push(("v", v.clone()));
+                }
+                if !matches!(*op, "stats" | "shutdown" | "metrics") {
+                    fields.push(("building", Json::Str("hq".into())));
+                }
+                match *op {
+                    "assign" => fields.push(("scan", scan_json(7.0))),
+                    "assign_batch" | "extend" => fields.push(("scans", scans.clone())),
+                    _ => {}
+                }
+                bases.push(Json::obj(fields));
+            }
+        }
+        let mut frames = vec![
+            String::new(),
+            "  ".into(),
+            "[1,2,3]".into(),
+            "7".into(),
+            r#""op""#.into(),
+            "null".into(),
+            "[]".into(),
+            r#"{"op":"load","building":"hq","scans":3}"#.into(),
+            r#"{"op":"load","building":"hq","scan":{"id":"x"}}"#.into(),
+            r#"{"op":"stats","scans":[{"id":1,"readings":[7]}],"scan":[]}"#.into(),
+            r#"{"op":"stats","building":"hq"}"#.into(),
+            r#"{"op":"assign","building":"","scan":{"id":"x"}}"#.into(),
+            r#"{"op":"assign_batch","building":7,"scans":3}"#.into(),
+            r#"{"op":"assign_batch","building":"hq"}"#.into(),
+            r#"{"op":"extend","v":2,"building":"hq","scans":{}}"#.into(),
+        ];
+        for base in &bases {
+            let text = base.to_string();
+            frames.push(text.clone());
+            frames.push(reversed(base));
+            // Cut at every byte, and every byte replaced by a delimiter
+            // or by garbage (the text is ASCII, so every offset is a
+            // char boundary).
+            for cut in 0..text.len() {
+                frames.push(text[..cut].to_owned());
+                for byte in ['"', '}', '#'] {
+                    frames.push(format!("{}{byte}{}", &text[..cut], &text[cut + 1..]));
+                }
+            }
+            // Each key duplicated, bad then good and good then bad.
+            let Json::Obj(map) = base else { unreachable!() };
+            for key in map.keys() {
+                for bad in ["7", r#""x""#, "null", "{}", "[1]", r#"{"id":"x"}"#] {
+                    frames.push(format!("{{\"{key}\":{bad},{}", &text[1..]));
+                    frames.push(format!("{},\"{key}\":{bad}}}", &text[..text.len() - 1]));
+                }
+            }
+            // Two keys wrong at once, so the order of the checks shows.
+            for (i, first) in map.keys().enumerate() {
+                for second in map.keys().skip(i + 1) {
+                    let mut frame = map.clone();
+                    frame.insert(first.clone(), Json::Num(7.0));
+                    frame.insert(second.clone(), Json::Num(7.0));
+                    frames.push(Json::Obj(frame).to_string());
+                }
+            }
+            // A bad scan first, in the middle and last.
+            for bad in bad_scans() {
+                let mut frame = map.clone();
+                if let Some(scan) = frame.get_mut("scan") {
+                    *scan = bad.clone();
+                }
+                if let Some(Json::Arr(items)) = frame.get("scans") {
+                    for at in [0, items.len() / 2, items.len() - 1] {
+                        let mut items = items.clone();
+                        items[at] = bad.clone();
+                        let mut frame = frame.clone();
+                        frame.insert("scans".into(), Json::Arr(items));
+                        frames.push(Json::Obj(frame).to_string());
+                    }
+                }
+                frames.push(Json::Obj(frame).to_string());
+            }
+            // A bad trace.
+            for bad in [
+                "7",
+                r#""0123456789abcdef""#,
+                r#"{"trace_id":"xyz","span_id":"0000000000000000"}"#,
+                r#"{"trace_id":"0123456789abcdef"}"#,
+                r#"{"trace_id":"+123456789abcdef","span_id":"0000000000000000"}"#,
+            ] {
+                let mut frame = map.clone();
+                frame.insert("trace".into(), Json::parse(bad).unwrap());
+                frames.push(Json::Obj(frame).to_string());
+            }
+        }
+        frames
+    }
+
+    #[test]
+    fn parse_frame_matches_the_tree_decoder() {
+        let frames = differential_frames();
+        let (mut parsed, mut failed) = (0, 0);
+        for frame in &frames {
+            let got = parse_frame(frame);
+            assert_eq!(got, reference_parse_frame(frame), "{frame}");
+            match got {
+                Ok(_) => parsed += 1,
+                Err(_) => failed += 1,
+            }
+        }
+        // The corpus reaches both outcomes in bulk, not just errors.
+        assert!(
+            parsed > 500 && failed > 5000,
+            "{parsed} parsed, {failed} failed"
+        );
+    }
 
     #[test]
     fn parses_every_op() {

@@ -2,7 +2,7 @@
 
 use crate::error::TypeError;
 use crate::floor::FloorId;
-use crate::json::{FromJson, Json, ToJson};
+use crate::json::{missing_field, Json, Kind, Reader, ToJson};
 use crate::sample::{SampleId, SignalSample};
 
 /// The single floor-labeled sample FIS-ONE is allowed to use.
@@ -192,33 +192,57 @@ impl ToJson for Building {
     }
 }
 
-impl FromJson for Building {
-    fn from_json(value: &Json) -> Result<Self, TypeError> {
-        let name = value
-            .field("name")?
-            .as_str()
-            .ok_or_else(|| TypeError::Io("building name must be a string".to_owned()))?;
-        let floors = value.field("floors")?.as_usize().ok_or_else(|| {
-            TypeError::Io("floor count must be a non-negative integer".to_owned())
-        })?;
-        let samples = value
-            .field("samples")?
-            .as_arr()
-            .ok_or_else(|| TypeError::Io("samples must be an array".to_owned()))?
-            .iter()
-            .map(SignalSample::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let labels = value
-            .field("labels")?
-            .as_arr()
-            .ok_or_else(|| TypeError::Io("labels must be an array".to_owned()))?
-            .iter()
-            .map(FloorId::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+impl Building {
+    /// Reads one corpus line's building straight from a [`Reader`],
+    /// each sample through [`SignalSample::read`] and each label through
+    /// [`FloorId::read`]. Keys come in any order (a later duplicate
+    /// wins); the fields are checked as `name`, `floors`, `samples`,
+    /// then `labels`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError`] for the first bad field, or what
+    /// [`Building::new`] rejects. A bad value may be left partly read;
+    /// [`Reader::decode`] skips it.
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        let (mut name, mut floors, mut samples, mut labels) = (None, None, None, None);
+        if r.peek()? == Kind::Obj {
+            let mut fields = r.object()?;
+            while let Some(key) = r.next_key(&mut fields)? {
+                match key.as_ref() {
+                    "name" => name = Some(r.value()?),
+                    "floors" => floors = Some(r.value()?),
+                    "samples" => {
+                        samples = Some(
+                            r.decode(|r| r.array_of(not_array("samples"), SignalSample::read))?,
+                        )
+                    }
+                    "labels" => {
+                        labels = Some(r.decode(|r| r.array_of(not_array("labels"), FloorId::read))?)
+                    }
+                    _ => r.skip()?,
+                }
+            }
+        }
+        let Json::Str(name) = name.ok_or_else(|| missing_field("name"))? else {
+            return Err(TypeError::Io("building name must be a string".to_owned()));
+        };
+        let floors = floors
+            .ok_or_else(|| missing_field("floors"))?
+            .as_usize()
+            .ok_or_else(|| {
+                TypeError::Io("floor count must be a non-negative integer".to_owned())
+            })?;
+        let samples = samples.ok_or_else(|| missing_field("samples"))??;
+        let labels = labels.ok_or_else(|| missing_field("labels"))??;
         // Building::new re-validates every structural invariant, so a
         // hand-edited corpus cannot smuggle in inconsistent data.
         Building::new(name, floors, samples, labels)
     }
+}
+
+fn not_array(what: &str) -> impl FnOnce() -> TypeError + '_ {
+    move || TypeError::Io(format!("{what} must be an array"))
 }
 
 #[cfg(test)]
@@ -313,11 +337,20 @@ mod tests {
         assert!(b.filtered(2, 3).is_none()); // only 2 floors survive
     }
 
+    /// One corpus line through [`Building::read`], as
+    /// `io::load_jsonl` decodes it.
+    fn decode(text: &str) -> Result<Building, TypeError> {
+        let mut r = Reader::new(text);
+        let building = r.decode(Building::read)?;
+        r.finish()?;
+        building
+    }
+
     #[test]
     fn json_round_trip() {
         let b = small_building();
         let json = b.to_json_string();
-        let back = Building::from_json_str(&json).unwrap();
+        let back = decode(&json).unwrap();
         assert_eq!(back, b);
     }
 
@@ -325,6 +358,175 @@ mod tests {
     fn json_load_revalidates_invariants() {
         // A corpus whose labels exceed the floor count must be rejected.
         let bad = r#"{"name":"x","floors":1,"samples":[{"id":0,"readings":[]}],"labels":[3]}"#;
-        assert!(Building::from_json_str(bad).is_err());
+        assert!(decode(bad).is_err());
+    }
+
+    /// The tree decoder [`Building::read`] replaced, with the scan and
+    /// label rules it called: the reference for what `read` must accept
+    /// and which error it must report.
+    fn reference_from_json(value: &Json) -> Result<Building, TypeError> {
+        let name = value
+            .field("name")?
+            .as_str()
+            .ok_or_else(|| TypeError::Io("building name must be a string".to_owned()))?;
+        let floors = value.field("floors")?.as_usize().ok_or_else(|| {
+            TypeError::Io("floor count must be a non-negative integer".to_owned())
+        })?;
+        let samples = value
+            .field("samples")?
+            .as_arr()
+            .ok_or_else(|| TypeError::Io("samples must be an array".to_owned()))?
+            .iter()
+            .map(reference_scan)
+            .collect::<Result<Vec<_>, _>>()?;
+        let labels = value
+            .field("labels")?
+            .as_arr()
+            .ok_or_else(|| TypeError::Io("labels must be an array".to_owned()))?
+            .iter()
+            .map(|label| {
+                label.as_usize().map(FloorId::from_index).ok_or_else(|| {
+                    TypeError::Io("floor id must be a non-negative integer".to_owned())
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Building::new(name, floors, samples, labels)
+    }
+
+    /// The tree scan decoder that [`SignalSample::read`] replaced.
+    fn reference_scan(value: &Json) -> Result<SignalSample, TypeError> {
+        let id = value.get("id").ok_or_else(|| missing_field("id"))?;
+        let id = id
+            .as_usize()
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or_else(|| {
+                TypeError::Io(format!(
+                    "sample id must be an integer in 0..=4294967295, got {id}"
+                ))
+            })?;
+        let readings = value
+            .field("readings")?
+            .as_arr()
+            .ok_or_else(|| TypeError::Io("readings must be an array".to_owned()))?
+            .iter()
+            .map(|pair| {
+                let (mac, rssi) = pair
+                    .as_arr()
+                    .filter(|p| p.len() == 2)
+                    .map(|p| (p[0].as_str(), p[1].as_f64()))
+                    .ok_or_else(|| {
+                        TypeError::Io("reading must be a [mac, rssi] pair".to_owned())
+                    })?;
+                Ok((MacAddr::from_wire(mac)?, Rssi::from_wire(rssi)?))
+            })
+            .collect::<Result<Vec<_>, TypeError>>()?;
+        Ok(SignalSample::builder(id).readings(readings).build())
+    }
+
+    /// `value` with `key` replaced, or removed when `with` is `None`.
+    fn with_field(value: &Json, key: &str, with: Option<Json>) -> Json {
+        let mut value = value.clone();
+        if let Json::Obj(map) = &mut value {
+            match with {
+                Some(with) => map.insert(key.to_owned(), with),
+                None => map.remove(key),
+            };
+        }
+        value
+    }
+
+    #[test]
+    fn read_matches_the_tree_decoder() {
+        let good = small_building().to_json();
+        let text = good.to_string();
+        let mut cases = vec![
+            text.clone(),
+            "[]".to_owned(),
+            "7".to_owned(),
+            "null".to_owned(),
+        ];
+        // Cut at every byte, and every byte replaced by a delimiter or
+        // by garbage (the text is ASCII, so every offset is a char
+        // boundary).
+        for cut in 0..text.len() {
+            cases.push(text[..cut].to_owned());
+            for byte in ['"', '}', '#'] {
+                cases.push(format!("{}{byte}{}", &text[..cut], &text[cut + 1..]));
+            }
+        }
+        // Keys in reverse order, and a duplicate key bad then good and
+        // good then bad.
+        let Json::Obj(map) = &good else {
+            unreachable!()
+        };
+        let reversed: Vec<String> = map
+            .iter()
+            .rev()
+            .map(|(k, v)| format!("{}:{v}", Json::Str(k.clone())))
+            .collect();
+        cases.push(format!("{{{}}}", reversed.join(",")));
+        for key in ["name", "floors", "samples", "labels"] {
+            cases.push(format!("{{\"{key}\":7,{}", &text[1..]));
+            cases.push(format!("{},\"{key}\":7}}", &text[..text.len() - 1]));
+            // Each field missing or mistyped.
+            for with in [
+                None,
+                Some(Json::Null),
+                Some(Json::Str("x".into())),
+                Some(Json::Num(-1.0)),
+                Some(Json::Num(2.5)),
+                Some(Json::Num(3.0)),
+                Some(Json::Arr(vec![])),
+                Some(Json::Arr(vec![Json::Str("x".into())])),
+                Some(Json::obj([])),
+            ] {
+                cases.push(with_field(&good, key, with).to_string());
+            }
+        }
+        // Two fields wrong at once, so the order of the checks shows.
+        let keys = ["name", "floors", "samples", "labels"];
+        for (i, first) in keys.iter().enumerate() {
+            for second in &keys[i + 1..] {
+                for with in [None, Some(Json::Str("x".into()))] {
+                    let once = with_field(&good, first, with.clone());
+                    cases.push(with_field(&once, second, with).to_string());
+                }
+            }
+        }
+        // A bad sample or label first, in the middle and last.
+        let samples = good.get("samples").and_then(Json::as_arr).unwrap();
+        let labels = good.get("labels").and_then(Json::as_arr).unwrap();
+        let bad_scans = [
+            r#"{"id":"x","readings":[]}"#,
+            r#"{"readings":[]}"#,
+            r#"{"id":0,"readings":{}}"#,
+            r#"{"id":0,"readings":[["00:00:00:00:00:01"]]}"#,
+            r#"{"id":0,"readings":[["zz:00:00:00:00:01",-50]]}"#,
+            r#"{"id":0,"readings":[[1,-50]]}"#,
+            r#"{"id":0,"readings":[["00:00:00:00:00:01",5]]}"#,
+            r#"{"id":0,"readings":[["00:00:00:00:00:01","-50"]]}"#,
+            "[]",
+        ];
+        for at in [0, samples.len() / 2, samples.len() - 1] {
+            for bad in bad_scans {
+                let mut items = samples.to_vec();
+                items[at] = Json::parse(bad).unwrap();
+                cases.push(with_field(&good, "samples", Some(Json::Arr(items))).to_string());
+            }
+            for bad in [
+                Json::Str("1".into()),
+                Json::Num(-1.0),
+                Json::Num(0.5),
+                Json::Num(9.0),
+            ] {
+                let mut items = labels.to_vec();
+                items[at] = bad;
+                cases.push(with_field(&good, "labels", Some(Json::Arr(items))).to_string());
+            }
+        }
+        for case in &cases {
+            let want = Json::parse(case).and_then(|value| reference_from_json(&value));
+            assert_eq!(decode(case), want, "{case}");
+        }
     }
 }

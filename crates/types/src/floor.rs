@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::error::TypeError;
-use crate::json::{FromJson, Json, ToJson};
+use crate::json::{Json, Kind, Reader, ToJson};
 
 /// A floor within a building, counted from the bottom floor upward.
 ///
@@ -75,10 +75,18 @@ impl ToJson for FloorId {
     }
 }
 
-impl FromJson for FloorId {
-    fn from_json(value: &Json) -> Result<Self, TypeError> {
-        value
-            .as_usize()
+impl FloorId {
+    /// Reads a floor label, a non-negative integer, from a [`Reader`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::Io`] for any other value (left unread).
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        let index = match r.peek()? {
+            Kind::Num => Json::Num(r.num()?).as_usize(),
+            _ => None,
+        };
+        index
             .map(FloorId)
             .ok_or_else(|| TypeError::Io("floor id must be a non-negative integer".to_owned()))
     }

@@ -10,7 +10,7 @@ use std::path::Path;
 use crate::building::Building;
 use crate::dataset::Dataset;
 use crate::error::TypeError;
-use crate::json::{FromJson, Json, ToJson};
+use crate::json::{Json, Reader, ToJson};
 
 /// Writes a dataset as JSON Lines: a one-line header object followed by one
 /// building object per line.
@@ -32,12 +32,15 @@ pub fn save_jsonl(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), TypeE
     w.flush().map_err(TypeError::from)
 }
 
-/// Reads a dataset previously written by [`save_jsonl`].
+/// Reads a dataset previously written by [`save_jsonl`]. Each building
+/// line is decoded by [`Building::read`].
 ///
 /// # Errors
 ///
 /// Returns [`TypeError::Io`] if the file is missing, the header is
-/// malformed, or any building line fails to parse or validate.
+/// malformed, any building line fails to parse or validate, or the
+/// file holds a different number of building lines than its header's
+/// `buildings` count (a corpus cut at a line boundary).
 pub fn load_jsonl(path: impl AsRef<Path>) -> Result<Dataset, TypeError> {
     let file = File::open(path.as_ref())?;
     let mut lines = BufReader::new(file).lines();
@@ -50,13 +53,26 @@ pub fn load_jsonl(path: impl AsRef<Path>) -> Result<Dataset, TypeError> {
         .and_then(|v| v.as_str())
         .ok_or_else(|| TypeError::Io("header missing dataset name".into()))?
         .to_owned();
+    let expected = header
+        .get("buildings")
+        .and_then(Json::as_usize)
+        .ok_or_else(|| TypeError::Io("header missing building count".into()))?;
     let mut buildings = Vec::new();
     for line in lines {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        buildings.push(Building::from_json_str(&line)?);
+        let mut r = Reader::new(&line);
+        let building = r.decode(Building::read)?;
+        r.finish()?;
+        buildings.push(building?);
+    }
+    if buildings.len() != expected {
+        return Err(TypeError::Io(format!(
+            "header says {expected} buildings but the file holds {}",
+            buildings.len()
+        )));
     }
     Ok(Dataset::new(name, buildings))
 }
@@ -101,6 +117,27 @@ mod tests {
         let path = dir.join("empty.jsonl");
         std::fs::write(&path, "").unwrap();
         assert!(load_jsonl(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_truncated_corpus_errors() {
+        let dir = std::env::temp_dir().join("fis_types_io_test4");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cut.jsonl");
+        let building = demo_dataset().buildings()[0].to_json();
+        std::fs::write(
+            &path,
+            format!("{{\"name\":\"x\",\"buildings\":2}}\n{building}\n"),
+        )
+        .unwrap();
+        let err = load_jsonl(&path).unwrap_err();
+        assert!(matches!(err, TypeError::Io(_)), "{err:?}");
+        assert!(
+            err.to_string()
+                .contains("header says 2 buildings but the file holds 1"),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

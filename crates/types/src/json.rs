@@ -10,15 +10,23 @@
 //! [`Reader`] is the one parser: a pull reader that walks the text once,
 //! token by token, in time linear in its length. The grammar lives there
 //! alone (the number rule, string escapes and surrogate pairs, and the
-//! `json error at byte N` messages). [`Json::parse`] is a thin loop over
-//! it that builds a tree, which suits small documents such as request
-//! frames and corpus lines. Large documents are decoded straight from the
-//! reader into typed values with no tree in between: the model artifact
-//! (`FittedModel::from_json_str` in `fis-core`) reads its scans, matrices
-//! and index arrays this way. [`Reader::decode`] keeps such decoders
-//! faithful to the tree: the first syntax error wins, a shape error waits
-//! until the whole text has parsed, and a later duplicate key replaces an
-//! earlier one.
+//! `json error at byte N` messages). Every typed input is decoded
+//! straight from it with no tree in between: request frames
+//! (`parse_frame` in `fis-serve`), corpus lines ([`Building::read`]),
+//! scans ([`SignalSample::read`]) and the model artifact
+//! (`FittedModel::from_json_str` in `fis-core`). [`Reader::decode`] keeps
+//! such decoders faithful to a tree: the first syntax error wins, a shape
+//! error waits until the whole text has parsed, and a later duplicate key
+//! replaces an earlier one.
+//!
+//! [`Json`] is the value type for encoding and for small untyped
+//! objects: a frame's `id` and `trace`, the corpus header, a model's
+//! config, the journal lines `trace summarize` reads, and the benchmark
+//! reports. [`Json::parse`] is a thin loop over [`Reader::value`]; frames
+//! and corpus lines never go through it.
+//!
+//! [`Building::read`]: crate::Building::read
+//! [`SignalSample::read`]: crate::SignalSample::read
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -488,6 +496,29 @@ impl<'a> Reader<'a> {
         Err(err(self.pos, "expected `,` or `]` in array"))
     }
 
+    /// Reads a whole array, each item with `item`; `not_array()` when
+    /// the next value is not an array (it is left unread, so
+    /// [`Reader::decode`] skips it).
+    ///
+    /// # Errors
+    ///
+    /// Returns a syntax error, `not_array()`, or the first error `item`
+    /// returns.
+    pub fn array_of<T, E: From<TypeError>>(
+        &mut self,
+        not_array: impl FnOnce() -> E,
+        mut item: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        if self.peek()? != Kind::Arr {
+            return Err(not_array());
+        }
+        let (mut out, mut items) = (Vec::new(), self.array()?);
+        while self.next_item(&mut items)? {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
     /// Enters an object: consumes its `{`. Walk its fields with
     /// [`Reader::next_key`].
     ///
@@ -605,26 +636,6 @@ pub trait ToJson {
     /// Serializes to a compact JSON string.
     fn to_json_string(&self) -> String {
         self.to_json().to_string()
-    }
-}
-
-/// Types that can be reconstructed from a [`Json`] value.
-pub trait FromJson: Sized {
-    /// Parses from a JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TypeError::Io`] when the value has the wrong shape and
-    /// domain-specific errors when validation fails.
-    fn from_json(value: &Json) -> Result<Self, TypeError>;
-
-    /// Parses from a JSON string.
-    ///
-    /// # Errors
-    ///
-    /// See [`FromJson::from_json`].
-    fn from_json_str(text: &str) -> Result<Self, TypeError> {
-        Self::from_json(&Json::parse(text)?)
     }
 }
 

@@ -4,7 +4,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::error::TypeError;
-use crate::json::{FromJson, Json, Kind, Reader, ToJson};
+use crate::json::{Json, Kind, Reader, ToJson};
 
 /// A 48-bit media access control address identifying one AP radio.
 ///
@@ -117,8 +117,8 @@ impl ToJson for MacAddr {
 
 impl MacAddr {
     /// A MAC from its wire form, a JSON string; `None` when the value
-    /// was not a string. The one rule behind [`FromJson`] and
-    /// [`MacAddr::read`].
+    /// was not a string. The rule [`MacAddr::read`] and the scan
+    /// decoder share.
     pub(crate) fn from_wire(text: Option<&str>) -> Result<Self, TypeError> {
         text.ok_or_else(|| TypeError::Io("MAC address must be a JSON string".to_owned()))?
             .parse()
@@ -138,12 +138,6 @@ impl MacAddr {
             _ => None,
         };
         Self::from_wire(text.as_deref())
-    }
-}
-
-impl FromJson for MacAddr {
-    fn from_json(value: &Json) -> Result<Self, TypeError> {
-        Self::from_wire(value.as_str())
     }
 }
 
@@ -256,7 +250,8 @@ mod tests {
         let mac = MacAddr::from_u64(0xA1B2C3D4E5F6);
         let json = mac.to_json_string();
         assert_eq!(json, "\"a1:b2:c3:d4:e5:f6\"");
-        let back = MacAddr::from_json_str(&json).unwrap();
+        let back = MacAddr::read(&mut Reader::new(&json)).unwrap();
         assert_eq!(back, mac);
+        assert!(MacAddr::read(&mut Reader::new("7")).is_err());
     }
 }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::error::TypeError;
-use crate::json::{FromJson, Json, ToJson};
+use crate::json::{Json, ToJson};
 
 /// Default offset `c` of the edge-weight transform `f(RSS) = RSS + c`.
 ///
@@ -99,15 +99,11 @@ impl ToJson for Rssi {
 
 impl Rssi {
     /// A reading from its wire form, a JSON number; `None` when the
-    /// value was not a number.
+    /// value was not a number. The rule the scan decoder
+    /// ([`SignalSample::read`](crate::SignalSample::read)) applies to
+    /// each pair's second item.
     pub(crate) fn from_wire(dbm: Option<f64>) -> Result<Self, TypeError> {
         Rssi::new(dbm.ok_or_else(|| TypeError::Io("RSSI must be a JSON number".to_owned()))?)
-    }
-}
-
-impl FromJson for Rssi {
-    fn from_json(value: &Json) -> Result<Self, TypeError> {
-        Self::from_wire(value.as_f64())
     }
 }
 
@@ -160,9 +156,9 @@ mod tests {
     fn json_is_transparent() {
         let r = Rssi::new(-77.5).unwrap();
         assert_eq!(r.to_json_string(), "-77.5");
-        let back = Rssi::from_json_str("-77.5").unwrap();
-        assert_eq!(back, r);
-        // Out-of-range values are rejected on load too.
-        assert!(Rssi::from_json_str("7.0").is_err());
+        assert_eq!(Rssi::from_wire(Some(-77.5)).unwrap(), r);
+        // Out-of-range values and non-numbers are rejected on load too.
+        assert!(Rssi::from_wire(Some(7.0)).is_err());
+        assert!(Rssi::from_wire(None).is_err());
     }
 }

@@ -1,9 +1,7 @@
 //! Crowdsourced RF signal samples (records).
 
-use std::borrow::Cow;
-
 use crate::error::TypeError;
-use crate::json::{missing_field, FromJson, Json, Kind, Reader, ToJson};
+use crate::json::{missing_field, Json, Kind, Reader, ToJson};
 use crate::mac::MacAddr;
 use crate::rssi::Rssi;
 
@@ -145,36 +143,14 @@ impl ToJson for SignalSample {
     }
 }
 
-impl FromJson for SignalSample {
-    fn from_json(value: &Json) -> Result<Self, TypeError> {
-        let id = scan_id(value.get("id"))?;
-        let readings = value
-            .field("readings")?
-            .as_arr()
-            .ok_or_else(readings_not_array)?
-            .iter()
-            .map(|pair| {
-                reading(
-                    pair.as_arr()
-                        .filter(|p| p.len() == 2)
-                        .map(|p| (p[0].as_str(), p[1].as_f64())),
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SignalSampleBuilder {
-            id: SampleId(id),
-            readings,
-        }
-        .build())
-    }
-}
-
 impl SignalSample {
     /// Reads one scan straight from a [`Reader`], each `[mac, rssi]`
-    /// pair going into the sample with no [`Json`] tree in between. It
-    /// accepts exactly the scans [`FromJson`] does, with the same
-    /// messages, in any key order; a later duplicate key replaces an
-    /// earlier one, as in a [`Json::Obj`].
+    /// pair going into the sample with no [`Json`] tree in between. This
+    /// is the one scan decoder: corpus lines, request frames and model
+    /// artifacts all read their scans through it. Keys come in any
+    /// order; a later duplicate key replaces an earlier one, as in a
+    /// [`Json::Obj`]. The checks run in a fixed order: the `id`, then
+    /// `readings`, then each pair in turn.
     ///
     /// # Errors
     ///
@@ -203,11 +179,10 @@ impl SignalSample {
     }
 }
 
-/// The id rule, shared by both scan decoders. Ids ride the wire as JSON
-/// numbers (f64): anything past 2^32-1 is rejected here, *before* any
-/// floor-identification work, so an id can never silently lose
-/// precision at the f64 boundary (2^53) and collide with another scan's
-/// id in a response.
+/// The id rule. Ids ride the wire as JSON numbers (f64): anything past
+/// 2^32-1 is rejected here, *before* any floor-identification work, so
+/// an id can never silently lose precision at the f64 boundary (2^53)
+/// and collide with another scan's id in a response.
 fn scan_id(id: Option<&Json>) -> Result<u32, TypeError> {
     let id = id.ok_or_else(|| missing_field("id"))?;
     id.as_usize()
@@ -219,69 +194,35 @@ fn scan_id(id: Option<&Json>) -> Result<u32, TypeError> {
         })
 }
 
-fn readings_not_array() -> TypeError {
-    TypeError::Io("readings must be an array".to_owned())
-}
-
-/// The pair rule, shared by both scan decoders: a reading is a
-/// two-item array (`None` when it was not) of a MAC string and an RSSI
-/// number (each `None` when of another JSON type).
-fn reading(pair: Option<(Option<&str>, Option<f64>)>) -> Result<(MacAddr, Rssi), TypeError> {
-    let (mac, rssi) =
-        pair.ok_or_else(|| TypeError::Io("reading must be a [mac, rssi] pair".to_owned()))?;
-    Ok((MacAddr::from_wire(mac)?, Rssi::from_wire(rssi)?))
-}
-
-/// A scan's `readings` array, pair by pair through [`reading`].
+/// A scan's `readings` array.
 fn read_readings(r: &mut Reader<'_>) -> Result<Vec<(MacAddr, Rssi)>, TypeError> {
-    if r.peek()? != Kind::Arr {
-        return Err(readings_not_array());
-    }
-    let (mut readings, mut pairs) = (Vec::new(), r.array()?);
-    while r.next_item(&mut pairs)? {
-        let pair = read_pair(r)?;
-        readings.push(reading(
-            pair.as_ref().map(|(mac, rssi)| (mac.as_deref(), *rssi)),
-        )?);
-    }
-    Ok(readings)
+    r.array_of(
+        || TypeError::Io("readings must be an array".to_owned()),
+        read_reading,
+    )
 }
 
-/// The items of a two-item `[mac, rssi]` array, each `None` when of
-/// another JSON type.
-type Pair<'a> = (Option<Cow<'a, str>>, Option<f64>);
-
-/// One `readings` item, typed the way [`reading`] takes it: `None` when
-/// it is not a two-item array.
-fn read_pair<'a>(r: &mut Reader<'a>) -> Result<Option<Pair<'a>>, TypeError> {
-    if r.peek()? != Kind::Arr {
-        return Ok(None);
-    }
-    let mut items = r.array()?;
-    if !r.next_item(&mut items)? {
-        return Ok(None);
-    }
-    let mac = match r.peek()? {
-        Kind::Str => Some(r.str()?),
-        _ => {
-            r.skip()?;
-            None
+/// One reading, under the pair rule: a two-item array of a MAC string
+/// and an RSSI number. The pair's shape is checked before either item.
+fn read_reading(r: &mut Reader<'_>) -> Result<(MacAddr, Rssi), TypeError> {
+    let (mut mac, mut rssi, mut len) = (None, None, 0);
+    if r.peek()? == Kind::Arr {
+        let mut items = r.array()?;
+        while r.next_item(&mut items)? {
+            match (len, r.peek()?) {
+                (0, Kind::Str) => mac = Some(r.str()?),
+                (1, Kind::Num) => rssi = Some(r.num()?),
+                _ => r.skip()?,
+            }
+            len += 1;
         }
-    };
-    if !r.next_item(&mut items)? {
-        return Ok(None);
     }
-    let rssi = match r.peek()? {
-        Kind::Num => Some(r.num()?),
-        _ => {
-            r.skip()?;
-            None
-        }
-    };
-    if r.next_item(&mut items)? {
-        return Ok(None);
+    if len != 2 {
+        return Err(TypeError::Io(
+            "reading must be a [mac, rssi] pair".to_owned(),
+        ));
     }
-    Ok(Some((mac, rssi)))
+    Ok((MacAddr::from_wire(mac.as_deref())?, Rssi::from_wire(rssi)?))
 }
 
 /// Builder for [`SignalSample`]; see [`SignalSample::builder`].
@@ -351,12 +292,22 @@ mod tests {
         assert_eq!(s.rssi_of(other), None);
     }
 
+    /// One scan document through [`SignalSample::read`].
+    fn decode(text: &str) -> Result<SignalSample, TypeError> {
+        let mut r = Reader::new(text);
+        let scan = r.decode(SignalSample::read)?;
+        r.finish()?;
+        scan
+    }
+
     #[test]
     fn out_of_range_ids_are_rejected_at_parse_time() {
         // In-range boundary parses.
-        let max = Json::parse(r#"{"id":4294967295,"readings":[]}"#).unwrap();
         assert_eq!(
-            SignalSample::from_json(&max).unwrap().id().index(),
+            decode(r#"{"id":4294967295,"readings":[]}"#)
+                .unwrap()
+                .id()
+                .index(),
             u32::MAX as usize
         );
         // Everything that cannot round-trip as a u32 through an f64 wire
@@ -370,8 +321,7 @@ mod tests {
             r#"{"id":-1,"readings":[]}"#,
             r#"{"id":"7","readings":[]}"#,
         ] {
-            let err = SignalSample::from_json(&Json::parse(bad).unwrap())
-                .expect_err(&format!("{bad} must be rejected"));
+            let err = decode(bad).expect_err(&format!("{bad} must be rejected"));
             assert!(
                 err.to_string().contains("0..=4294967295"),
                 "{bad}: error names the accepted range, got: {err}"
@@ -416,7 +366,7 @@ mod tests {
             .reading(MacAddr::from_u64(2), rssi(-41.5))
             .build();
         let json = s.to_json_string();
-        let back = SignalSample::from_json_str(&json).unwrap();
+        let back = decode(&json).unwrap();
         assert_eq!(back, s);
     }
 
