@@ -3,7 +3,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fis_core::indexing::{index_clusters, TspSolver};
 use fis_core::similarity::{adapted_jaccard, plain_jaccard, ClusterMacProfile};
-use fis_gnn::RfGnnConfig;
 use fis_graph::{cooccurrence_pairs, random_walks, BipartiteGraph, WalkStrategy};
 use fis_synth::BuildingConfig;
 use rand::SeedableRng;
@@ -449,15 +448,7 @@ fn bench_engine(c: &mut Criterion) {
             })
             .collect(),
     );
-    let config = {
-        let mut config = fis_core::FisOneConfig::default().seed(1);
-        config.gnn = RfGnnConfig::new(8)
-            .epochs(2)
-            .walks_per_node(2)
-            .neighbor_samples(vec![5, 3])
-            .seed(1);
-        config
-    };
+    let config = fis_core::FisOneConfig::default().seed(1);
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
     group.bench_function("evaluate_corpus(6 buildings, parallel)", |bench| {
@@ -512,7 +503,7 @@ fn bench_extend(c: &mut Criterion) {
     .generate();
     let building = &corpus.building;
     let anchor = building.bottom_anchor().expect("survey has an anchor");
-    let model = fis_core::FisOne::new(fis_core::FisOneConfig::quick(99))
+    let model = fis_core::FisOne::new(fis_core::FisOneConfig::default().seed(99))
         .fit(
             building.name(),
             building.samples(),

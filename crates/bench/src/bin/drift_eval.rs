@@ -20,8 +20,11 @@
 //! stage (nanoseconds per extend call) into a `fis-one/bench-report`
 //! file so the CI perf gate covers extension latency.
 //!
-//! `CRITERION_QUICK=1` (the CI convention shared with the Criterion
-//! benches) shrinks the corpus so the whole sweep stays in CI budget.
+//! Every replay fits the shipped default config on one corpus shape:
+//! 4 floors × 60 survey scans, then 6 epochs of 80 scans. The run exits
+//! non-zero if the frozen model scores below [`FIRST_EPOCH_FLOOR`] on
+//! the first epoch of any scenario, so a survey model that never
+//! identified floors cannot pass for one that drifts.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -33,22 +36,21 @@ use fis_types::json::Json;
 /// Seed shared by every scenario so runs are comparable commit to commit.
 const SEED: u64 = 2023;
 
-fn quick_mode() -> bool {
-    std::env::var("CRITERION_QUICK").is_ok_and(|v| v == "1")
-}
+const FLOORS: usize = 4;
+const SAMPLES_PER_FLOOR: usize = 60;
+const APS_PER_FLOOR: usize = 10;
+const EPOCHS: usize = 6;
+const SCANS_PER_EPOCH: usize = 80;
 
-/// Corpus shape: (floors, samples/floor, aps/floor, epochs, scans/epoch).
-fn shape() -> (usize, usize, usize, usize, usize) {
-    if quick_mode() {
-        (3, 30, 8, 4, 40)
-    } else {
-        (4, 60, 10, 6, 80)
-    }
-}
+/// Least accuracy the frozen model must reach on the first epoch after
+/// the survey, in every scenario (chance is 1 / [`FLOORS`]).
+const FIRST_EPOCH_FLOOR: f64 = 0.9;
 
-/// The three drift scenarios the acceptance criteria name, at strengths
-/// that visibly decay a frozen model within the epoch budget.
-fn scenarios(epochs: usize) -> Vec<(&'static str, DriftScenario)> {
+/// The three drift scenarios: AP churn, a fleet calibration offset and a
+/// renovation halfway through. On the default config none of them
+/// visibly decays a frozen model within the epoch budget yet; retuning
+/// their strengths is open work.
+fn scenarios() -> Vec<(&'static str, DriftScenario)> {
     vec![
         (
             "churn",
@@ -63,7 +65,7 @@ fn scenarios(epochs: usize) -> Vec<(&'static str, DriftScenario)> {
         (
             "renovation",
             DriftScenario::Renovation {
-                at_epoch: epochs / 2,
+                at_epoch: EPOCHS / 2,
                 moved_fraction: 0.5,
             },
         ),
@@ -95,23 +97,22 @@ fn replay(
     cadence: usize,
     extend_ns: &mut Vec<f64>,
 ) -> Result<Vec<EpochRow>, String> {
-    let (floors, samples, aps, epochs, scans_per_epoch) = shape();
     let corpus = TemporalConfig::new(
-        BuildingConfig::new("drift", floors)
-            .samples_per_floor(samples)
-            .aps_per_floor(aps)
+        BuildingConfig::new("drift", FLOORS)
+            .samples_per_floor(SAMPLES_PER_FLOOR)
+            .aps_per_floor(APS_PER_FLOOR)
             .seed(SEED),
         scenario.clone(),
     )
-    .epochs(epochs)
-    .scans_per_epoch(scans_per_epoch)
+    .epochs(EPOCHS)
+    .scans_per_epoch(SCANS_PER_EPOCH)
     .generate();
 
     let building = &corpus.building;
     let anchor = building
         .bottom_anchor()
         .ok_or("survey has no bottom-floor anchor")?;
-    let pipeline = FisOne::new(FisOneConfig::quick(SEED));
+    let pipeline = FisOne::new(FisOneConfig::default().seed(SEED));
     let mut model: FittedModel = pipeline
         .fit(
             building.name(),
@@ -243,16 +244,26 @@ fn main() -> Result<(), String> {
         .map(String::as_str)
         .unwrap_or("BENCH_drift.json");
 
-    let (_, _, _, epochs, _) = shape();
     let cadences = [0usize, 1, 2];
     let mut extend_ns = Vec::new();
     let mut scenario_rows = Vec::new();
-    for (name, scenario) in scenarios(epochs) {
+    let mut failed = 0usize;
+    for (name, scenario) in scenarios() {
         for cadence in cadences {
             let started = Instant::now();
             let rows = replay(&scenario, cadence, &mut extend_ns)
                 .map_err(|e| format!("scenario `{name}` cadence {cadence}: {e}"))?;
             let mean = rows.iter().map(EpochRow::accuracy).sum::<f64>() / rows.len().max(1) as f64;
+            if let (0, Some(first)) = (cadence, rows.first()) {
+                if first.accuracy() < FIRST_EPOCH_FLOOR {
+                    eprintln!(
+                        "# drift_eval: FAIL: {name}: frozen model scores {:.3} on epoch {}",
+                        first.accuracy(),
+                        first.epoch
+                    );
+                    failed += 1;
+                }
+            }
             eprintln!(
                 "# drift_eval: {name:<12} cadence {cadence}: mean accuracy {mean:.3} \
                  over {} epochs in {:.2?}",
@@ -271,10 +282,6 @@ fn main() -> Result<(), String> {
     let report = Json::obj([
         ("schema", Json::Str("fis-one/bench-drift".into())),
         ("version", Json::Num(1.0)),
-        (
-            "mode",
-            Json::Str(if quick_mode() { "quick" } else { "full" }.into()),
-        ),
         ("seed", Json::Num(SEED as f64)),
         ("scenarios", Json::Arr(scenario_rows)),
     ]);
@@ -283,6 +290,11 @@ fn main() -> Result<(), String> {
 
     if let Some(path) = opts.get("bench-json") {
         merge_bench_stage(path, &extend_ns)?;
+    }
+    if failed > 0 {
+        return Err(format!(
+            "{failed} scenario(s) score below {FIRST_EPOCH_FLOOR} on their first epoch"
+        ));
     }
     Ok(())
 }

@@ -153,8 +153,8 @@ mod tests {
 
     #[test]
     fn run_corpus_matches_run_fis() {
-        // Small corpus + tiny GNN config so the batch-vs-solo comparison
-        // stays cheap; the full-scale equivalence is the same code path.
+        // Small corpus so the batch-vs-solo comparison stays cheap; the
+        // full-scale equivalence is the same code path.
         let corpus = Dataset::new(
             "tiny",
             (0..2)
@@ -167,12 +167,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let mut config = FisOneConfig::default().seed(7);
-        config.gnn = fis_gnn::RfGnnConfig::new(8)
-            .epochs(3)
-            .walks_per_node(2)
-            .neighbor_samples(vec![5, 3])
-            .seed(7);
+        let config = FisOneConfig::default().seed(7);
         let report = run_corpus(&config, &corpus);
         assert_eq!(report.runs.len(), corpus.len());
         for (run, outcome) in report.successes() {

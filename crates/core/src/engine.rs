@@ -323,18 +323,11 @@ fn evaluate_with_prediction(
 mod tests {
     use super::*;
     use crate::pipeline::FisOneConfig;
-    use fis_gnn::RfGnnConfig;
     use fis_synth::BuildingConfig;
     use fis_types::Dataset;
 
-    fn quick_config(seed: u64) -> FisOneConfig {
-        let mut config = FisOneConfig::default().seed(seed);
-        config.gnn = RfGnnConfig::new(8)
-            .epochs(3)
-            .walks_per_node(2)
-            .neighbor_samples(vec![5, 3])
-            .seed(seed);
-        config
+    fn seeded(seed: u64) -> EngineConfig {
+        EngineConfig::default().pipeline(FisOneConfig::default().seed(seed))
     }
 
     fn tiny_corpus() -> Dataset {
@@ -361,7 +354,7 @@ mod tests {
     #[test]
     fn evaluate_corpus_scores_every_building() {
         let corpus = tiny_corpus();
-        let engine = FisEngine::new(EngineConfig::default().pipeline(quick_config(1)));
+        let engine = FisEngine::new(seeded(1));
         let report = engine.evaluate_corpus(&corpus);
         assert_eq!(report.runs.len(), 3);
         assert_eq!(report.successes().count(), 3);
@@ -376,7 +369,7 @@ mod tests {
     #[test]
     fn identify_corpus_skips_scoring() {
         let corpus = tiny_corpus();
-        let engine = FisEngine::new(EngineConfig::default().pipeline(quick_config(2)));
+        let engine = FisEngine::new(seeded(2));
         let report = engine.identify_corpus(&corpus);
         assert_eq!(report.successes().count(), 3);
         assert!(report.successes().all(|(_, o)| o.eval.is_none()));
@@ -405,7 +398,7 @@ mod tests {
         )
         .unwrap();
         corpus.push(cramped);
-        let engine = FisEngine::new(EngineConfig::default().pipeline(quick_config(3)));
+        let engine = FisEngine::new(seeded(3));
         let report = engine.evaluate_corpus(&corpus);
         assert_eq!(report.runs.len(), 4);
         assert_eq!(report.successes().count(), 3);
@@ -417,7 +410,7 @@ mod tests {
     fn explicit_thread_budget_is_restored() {
         let corpus = tiny_corpus();
         let before = fis_parallel::thread_budget();
-        let engine = FisEngine::new(EngineConfig::default().pipeline(quick_config(4)).threads(2));
+        let engine = FisEngine::new(seeded(4).threads(2));
         assert_eq!(engine.threads(), 2);
         let _ = engine.evaluate_corpus(&corpus);
         assert_eq!(fis_parallel::thread_budget(), before);
@@ -426,7 +419,7 @@ mod tests {
     #[test]
     fn fit_corpus_fits_every_building() {
         let corpus = tiny_corpus();
-        let engine = FisEngine::new(EngineConfig::default().pipeline(quick_config(6)));
+        let engine = FisEngine::new(seeded(6));
         let fit = engine.fit_corpus(&corpus);
         assert_eq!(fit.fits.len(), 3);
         assert_eq!(fit.successes().count(), 3);
@@ -445,7 +438,7 @@ mod tests {
     #[test]
     fn corpus_run_accounting_is_consistent() {
         let corpus = tiny_corpus();
-        let engine = FisEngine::new(EngineConfig::default().pipeline(quick_config(5)));
+        let engine = FisEngine::new(seeded(5));
         let report = engine.evaluate_corpus(&corpus);
         assert!(report.cpu_time() >= report.runs.iter().map(|r| r.elapsed).max().unwrap());
         assert!(report.threads >= 1);

@@ -118,17 +118,10 @@ pub fn mean_result(results: &[EvalResult]) -> EvalResult {
 mod tests {
     use super::*;
     use crate::pipeline::{FisOneConfig, FloorPrediction};
-    use fis_gnn::RfGnnConfig;
     use fis_synth::BuildingConfig;
 
-    fn quick_pipeline(seed: u64) -> FisOne {
-        let mut config = FisOneConfig::default().seed(seed);
-        config.gnn = RfGnnConfig::new(16)
-            .epochs(10)
-            .walks_per_node(4)
-            .neighbor_samples(vec![8, 4])
-            .seed(seed);
-        FisOne::new(config)
+    fn pipeline(seed: u64) -> FisOne {
+        FisOne::new(FisOneConfig::default().seed(seed))
     }
 
     #[test]
@@ -172,7 +165,7 @@ mod tests {
             .atrium_aps(0)
             .seed(33)
             .generate();
-        let res = evaluate_building(&quick_pipeline(1), &b).unwrap();
+        let res = evaluate_building(&pipeline(1), &b).unwrap();
         assert!(res.ari > 0.5, "ari={}", res.ari);
         assert!(res.nmi > 0.5, "nmi={}", res.nmi);
         assert!(res.edit > 0.6, "edit={}", res.edit);

@@ -420,20 +420,13 @@ fn l2_normalize(v: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fis_gnn::RfGnnConfig;
     use fis_synth::BuildingConfig;
     use fis_types::Building;
 
     use crate::pipeline::FisOneConfig;
 
-    fn quick_pipeline(seed: u64) -> FisOne {
-        let mut config = FisOneConfig::default().seed(seed);
-        config.gnn = RfGnnConfig::new(16)
-            .epochs(10)
-            .walks_per_node(4)
-            .neighbor_samples(vec![8, 4])
-            .seed(seed);
-        FisOne::new(config)
+    fn pipeline(seed: u64) -> FisOne {
+        FisOne::new(FisOneConfig::default().seed(seed))
     }
 
     fn easy_building(floors: usize, seed: u64) -> Building {
@@ -450,8 +443,7 @@ mod tests {
         let b = easy_building(4, 21);
         let anchor = b.anchor_on(FloorId::from_index(1)).unwrap();
         let outcome =
-            identify_with_arbitrary_anchor(&quick_pipeline(1), b.samples(), b.floors(), anchor)
-                .unwrap();
+            identify_with_arbitrary_anchor(&pipeline(1), b.samples(), b.floors(), anchor).unwrap();
         let pred = outcome.prediction().expect("case 2 must resolve");
         let correct = pred
             .labels()
@@ -469,8 +461,7 @@ mod tests {
         let b = easy_building(3, 22);
         let anchor = b.anchor_on(FloorId::from_index(1)).unwrap();
         let outcome =
-            identify_with_arbitrary_anchor(&quick_pipeline(2), b.samples(), b.floors(), anchor)
-                .unwrap();
+            identify_with_arbitrary_anchor(&pipeline(2), b.samples(), b.floors(), anchor).unwrap();
         match outcome {
             ArbitraryAnchorOutcome::Ambiguous { order, assignment } => {
                 assert_eq!(order.len(), 3);
@@ -485,8 +476,7 @@ mod tests {
         let b = easy_building(3, 23);
         let anchor = b.bottom_anchor().unwrap();
         let outcome =
-            identify_with_arbitrary_anchor(&quick_pipeline(3), b.samples(), b.floors(), anchor)
-                .unwrap();
+            identify_with_arbitrary_anchor(&pipeline(3), b.samples(), b.floors(), anchor).unwrap();
         let pred = outcome.prediction().expect("bottom anchor resolves");
         let correct = pred
             .labels()
@@ -505,8 +495,7 @@ mod tests {
             floor: FloorId::BOTTOM,
         };
         assert!(
-            identify_with_arbitrary_anchor(&quick_pipeline(4), b.samples(), b.floors(), bogus)
-                .is_err()
+            identify_with_arbitrary_anchor(&pipeline(4), b.samples(), b.floors(), bogus).is_err()
         );
     }
 }

@@ -1268,25 +1268,18 @@ fn pipeline_config_from_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fis_gnn::RfGnnConfig;
     use fis_synth::BuildingConfig;
     use fis_types::Building;
 
-    fn quick_fit(seed: u64) -> (Building, FittedModel) {
+    fn fitted(seed: u64) -> (Building, FittedModel) {
         let b = BuildingConfig::new("fit-test", 3)
             .samples_per_floor(20)
             .aps_per_floor(8)
             .atrium_aps(0)
             .seed(100 + seed)
             .generate();
-        let mut config = FisOneConfig::default().seed(seed);
-        config.gnn = RfGnnConfig::new(8)
-            .epochs(3)
-            .walks_per_node(2)
-            .neighbor_samples(vec![5, 3])
-            .seed(seed);
         let anchor = b.bottom_anchor().unwrap();
-        let model = FisOne::new(config)
+        let model = FisOne::new(FisOneConfig::default().seed(seed))
             .fit(b.name(), b.samples(), b.floors(), anchor)
             .unwrap();
         (b, model)
@@ -1294,7 +1287,7 @@ mod tests {
 
     #[test]
     fn fit_matches_identify_labels() {
-        let (b, model) = quick_fit(1);
+        let (b, model) = fitted(1);
         let fis = FisOne::new(model.config().clone());
         let pred = fis
             .identify(b.samples(), b.floors(), b.bottom_anchor().unwrap())
@@ -1313,7 +1306,7 @@ mod tests {
 
     #[test]
     fn assign_reproduces_training_labels_on_training_scans() {
-        let (b, model) = quick_fit(2);
+        let (b, model) = fitted(2);
         let labels = model.training_labels();
         for (scan, &expected) in b.samples().iter().zip(labels.iter()) {
             assert_eq!(model.assign(scan).unwrap(), expected, "scan {}", scan.id());
@@ -1322,7 +1315,7 @@ mod tests {
 
     #[test]
     fn assign_matches_linear_reference_on_training_scans() {
-        let (b, model) = quick_fit(7);
+        let (b, model) = fitted(7);
         for scan in b.samples() {
             assert_eq!(
                 model.assign(scan).unwrap(),
@@ -1335,7 +1328,7 @@ mod tests {
 
     #[test]
     fn assign_stream_is_thread_invariant_and_ordered() {
-        let (b, model) = quick_fit(3);
+        let (b, model) = fitted(3);
         let one = model.assign_stream(b.samples(), 1);
         let four = model.assign_stream(b.samples(), 4);
         assert_eq!(one.len(), b.len());
@@ -1346,7 +1339,7 @@ mod tests {
 
     #[test]
     fn assign_stream_matches_per_scan_assign_across_the_fan_out_boundary() {
-        let (b, model) = quick_fit(6);
+        let (b, model) = fitted(6);
         let scans: Vec<SignalSample> = b.samples().iter().cycle().take(200).cloned().collect();
         let expected: Vec<FloorId> = scans.iter().map(|s| model.assign(s).unwrap()).collect();
         // Every worker-count boundary from 1 to 4 workers, plus the
@@ -1373,7 +1366,7 @@ mod tests {
         use std::sync::mpsc;
         use std::time::Duration;
 
-        let (b, model) = quick_fit(5);
+        let (b, model) = fitted(5);
         let (b, model) = (&b, &model);
         let (entered_tx, entered_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
@@ -1398,7 +1391,7 @@ mod tests {
 
     #[test]
     fn save_load_save_is_byte_identical() {
-        let (_, model) = quick_fit(4);
+        let (_, model) = fitted(4);
         let first = model.to_json_string();
         let loaded = FittedModel::from_json_str(&first).unwrap();
         assert_eq!(loaded.to_json_string(), first);
@@ -1408,7 +1401,7 @@ mod tests {
 
     #[test]
     fn loaded_model_assigns_identically() {
-        let (b, model) = quick_fit(5);
+        let (b, model) = fitted(5);
         let loaded = FittedModel::from_json_str(&model.to_json_string()).unwrap();
         for scan in b.samples().iter().take(10) {
             assert_eq!(model.assign(scan).unwrap(), loaded.assign(scan).unwrap());
@@ -1417,7 +1410,7 @@ mod tests {
 
     #[test]
     fn unknown_macs_only_scan_is_typed_error() {
-        let (_, model) = quick_fit(6);
+        let (_, model) = fitted(6);
         let alien = SignalSample::builder(0)
             .reading(
                 MacAddr::from_u64(0xFFFF_FFFF_FF01),
@@ -1455,7 +1448,7 @@ mod tests {
 
     #[test]
     fn extend_preserves_old_vocab_answers_bit_identically() {
-        let (b, mut model) = quick_fit(11);
+        let (b, mut model) = fitted(11);
         let before: Vec<FloorId> = b
             .samples()
             .iter()
@@ -1477,7 +1470,7 @@ mod tests {
 
     #[test]
     fn extended_model_answers_new_mac_scans_and_round_trips() {
-        let (b, mut model) = quick_fit(12);
+        let (b, mut model) = fitted(12);
         let ext = churned_scans(&b, 4);
         model.extend(&ext).unwrap();
         // A scan heard only through a brand-new AP is now answerable.
@@ -1503,7 +1496,7 @@ mod tests {
 
     #[test]
     fn repeated_extension_composes_and_keeps_old_answers() {
-        let (b, mut model) = quick_fit(13);
+        let (b, mut model) = fitted(13);
         let before: Vec<FloorId> = b
             .samples()
             .iter()
@@ -1528,7 +1521,7 @@ mod tests {
 
     #[test]
     fn extend_rejects_degenerate_inputs_with_typed_errors() {
-        let (_, mut model) = quick_fit(14);
+        let (_, mut model) = fitted(14);
         // Empty batch.
         assert!(matches!(model.extend(&[]).unwrap_err(), FisError::Model(_)));
         // A scan that heard nothing.
@@ -1548,7 +1541,7 @@ mod tests {
         assert!(matches!(err, FisError::Model(_)), "{err}");
         assert!(!model.is_extended(), "failed extends must not mutate");
         // Mixed batch: the alien scan is skipped, not fatal.
-        let (b2, mut model2) = quick_fit(14);
+        let (b2, mut model2) = fitted(14);
         let mut batch = churned_scans(&b2, 2);
         batch.push(alien);
         let report = model2.extend(&batch).unwrap();

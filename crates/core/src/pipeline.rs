@@ -57,20 +57,6 @@ impl FisOneConfig {
         self.gnn.seed = seed;
         self
     }
-
-    /// A deliberately tiny training budget (dim 8, 2 epochs, 2 walks per
-    /// node, neighbor fan-out [5, 3]) for tests, examples, and smoke
-    /// runs: fits a small synthetic building in tens of milliseconds
-    /// while exercising every pipeline stage. Not meant for accuracy.
-    pub fn quick(seed: u64) -> Self {
-        let mut config = Self::default().seed(seed);
-        config.gnn = RfGnnConfig::new(8)
-            .epochs(2)
-            .walks_per_node(2)
-            .neighbor_samples(vec![5, 3])
-            .seed(seed);
-        config
-    }
 }
 
 /// The floor identification system with one label.
@@ -388,14 +374,8 @@ mod tests {
     use fis_synth::BuildingConfig;
     use fis_types::SampleId;
 
-    fn quick_pipeline(seed: u64) -> FisOne {
-        let mut config = FisOneConfig::default().seed(seed);
-        config.gnn = RfGnnConfig::new(16)
-            .epochs(10)
-            .walks_per_node(4)
-            .neighbor_samples(vec![8, 4])
-            .seed(seed);
-        FisOne::new(config)
+    fn pipeline(seed: u64) -> FisOne {
+        FisOne::new(FisOneConfig::default().seed(seed))
     }
 
     fn easy_building(floors: usize, seed: u64) -> fis_types::Building {
@@ -411,7 +391,7 @@ mod tests {
     fn identify_recovers_floors_on_easy_building() {
         let b = easy_building(3, 11);
         let anchor = b.bottom_anchor().unwrap();
-        let pred = quick_pipeline(1)
+        let pred = pipeline(1)
             .identify(b.samples(), b.floors(), anchor)
             .unwrap();
         // Accuracy should be far above chance (1/3).
@@ -432,7 +412,7 @@ mod tests {
         let b = easy_building(3, 12);
         let top = FloorId::from_index(2);
         let anchor = b.anchor_on(top).unwrap();
-        let pred = quick_pipeline(2)
+        let pred = pipeline(2)
             .identify(b.samples(), b.floors(), anchor)
             .unwrap();
         assert_eq!(pred.labels()[anchor.sample.index()], top);
@@ -442,7 +422,7 @@ mod tests {
     fn middle_anchor_rejected_by_core_identify() {
         let b = easy_building(3, 13);
         let anchor = b.anchor_on(FloorId::from_index(1)).unwrap();
-        let err = quick_pipeline(3)
+        let err = pipeline(3)
             .identify(b.samples(), b.floors(), anchor)
             .unwrap_err();
         assert!(matches!(err, FisError::Anchor(_)));
@@ -455,7 +435,7 @@ mod tests {
             sample: SampleId(99_999),
             floor: FloorId::BOTTOM,
         };
-        let err = quick_pipeline(4)
+        let err = pipeline(4)
             .identify(b.samples(), b.floors(), bogus)
             .unwrap_err();
         assert!(matches!(err, FisError::Anchor(_)));
@@ -465,7 +445,7 @@ mod tests {
     fn too_few_samples_rejected() {
         let b = easy_building(3, 15);
         let anchor = b.bottom_anchor().unwrap();
-        let err = quick_pipeline(5)
+        let err = pipeline(5)
             .identify(&b.samples()[..2], 3, anchor)
             .unwrap_err();
         assert!(matches!(err, FisError::Clustering(_)));
@@ -478,7 +458,7 @@ mod tests {
         let b = easy_building(5, 16);
         let truth: Vec<usize> = b.ground_truth().iter().map(|f| f.index()).collect();
         let anchor = b.bottom_anchor().unwrap();
-        let pred = quick_pipeline(6)
+        let pred = pipeline(6)
             .index_assignment(b.samples(), &truth, b.floors(), anchor)
             .unwrap();
         // With oracle clusters the ordering must be exactly 0..floors.
@@ -494,9 +474,9 @@ mod tests {
     fn kmeans_variant_runs() {
         let b = easy_building(3, 17);
         let anchor = b.bottom_anchor().unwrap();
-        let mut pipeline = quick_pipeline(7);
-        pipeline.config.clustering = ClusteringMethod::KMeans;
-        let pred = pipeline.identify(b.samples(), b.floors(), anchor).unwrap();
+        let mut fis = pipeline(7);
+        fis.config.clustering = ClusteringMethod::KMeans;
+        let pred = fis.identify(b.samples(), b.floors(), anchor).unwrap();
         assert_eq!(pred.labels().len(), b.len());
     }
 
@@ -504,10 +484,10 @@ mod tests {
     fn plain_jaccard_and_two_opt_variants_run() {
         let b = easy_building(3, 18);
         let anchor = b.bottom_anchor().unwrap();
-        let mut pipeline = quick_pipeline(8);
-        pipeline.config.similarity = SimilarityMethod::PlainJaccard;
-        pipeline.config.solver = TspSolver::TwoOpt;
-        let pred = pipeline.identify(b.samples(), b.floors(), anchor).unwrap();
+        let mut fis = pipeline(8);
+        fis.config.similarity = SimilarityMethod::PlainJaccard;
+        fis.config.solver = TspSolver::TwoOpt;
+        let pred = fis.identify(b.samples(), b.floors(), anchor).unwrap();
         assert_eq!(pred.labels().len(), b.len());
     }
 
@@ -515,7 +495,7 @@ mod tests {
     fn prediction_accessors_consistent() {
         let b = easy_building(3, 19);
         let anchor = b.bottom_anchor().unwrap();
-        let pred = quick_pipeline(9)
+        let pred = pipeline(9)
             .identify(b.samples(), b.floors(), anchor)
             .unwrap();
         // order and floor_of_cluster are inverse permutations.

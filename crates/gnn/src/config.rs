@@ -68,12 +68,6 @@ impl RfGnnConfig {
         }
     }
 
-    /// Sets the number of epochs.
-    pub fn epochs(mut self, epochs: usize) -> Self {
-        self.epochs = epochs;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -83,40 +77,6 @@ impl RfGnnConfig {
     /// Disables the RSS attention (Figure 8(a,b) ablation).
     pub fn without_attention(mut self) -> Self {
         self.attention = false;
-        self
-    }
-
-    /// Sets walks per node.
-    pub fn walks_per_node(mut self, walks: usize) -> Self {
-        self.walks_per_node = walks;
-        self
-    }
-
-    /// Sets the per-hop neighbor sample sizes (outermost hop first) and the
-    /// hop count to match.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sizes` is empty or contains zero.
-    pub fn neighbor_samples(mut self, sizes: Vec<usize>) -> Self {
-        assert!(!sizes.is_empty(), "need at least one hop");
-        assert!(
-            sizes.iter().all(|&s| s > 0),
-            "sample sizes must be positive"
-        );
-        self.hops = sizes.len();
-        self.neighbor_samples = sizes;
-        self
-    }
-
-    /// Sets the learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not finite and positive.
-    pub fn learning_rate(mut self, lr: f64) -> Self {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        self.learning_rate = lr;
         self
     }
 
@@ -169,14 +129,8 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let c = RfGnnConfig::new(8)
-            .epochs(3)
-            .seed(9)
-            .without_attention()
-            .walks_per_node(2)
-            .neighbor_samples(vec![5, 3, 2])
-            .learning_rate(0.01);
-        assert_eq!(c.hops, 3);
+        let c = RfGnnConfig::new(8).seed(9).without_attention();
+        assert_eq!(c.seed, 9);
         assert!(!c.attention);
         assert!(c.validate().is_ok());
     }

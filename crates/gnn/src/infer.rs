@@ -281,11 +281,13 @@ mod tests {
             .seed(seed)
             .generate();
         let graph = BipartiteGraph::from_samples(b.samples()).unwrap();
-        let config = RfGnnConfig::new(8)
-            .epochs(3)
-            .walks_per_node(2)
-            .neighbor_samples(vec![5, 3])
-            .seed(seed);
+        let config = RfGnnConfig {
+            epochs: 3,
+            walks_per_node: 2,
+            neighbor_samples: vec![5, 3],
+            seed,
+            ..RfGnnConfig::new(8)
+        };
         let model = RfGnn::train(&graph, &config).unwrap();
         (graph, model)
     }

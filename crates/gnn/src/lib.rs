@@ -24,7 +24,7 @@
 //! # fn samples() -> Vec<fis_types::SignalSample> { vec![] }
 //!
 //! let graph = BipartiteGraph::from_samples(&samples())?;
-//! let config = RfGnnConfig::new(16).epochs(5).seed(42);
+//! let config = RfGnnConfig::new(16).seed(42);
 //! let model = RfGnn::train(&graph, &config)?;
 //! // Embed a scan by the MAC nodes it heard, with their f(RSS) weights:
 //! // the one embedding the pipeline clusters and serving looks up.

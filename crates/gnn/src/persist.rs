@@ -266,11 +266,13 @@ mod tests {
             .seed(3)
             .generate();
         let graph = BipartiteGraph::from_samples(b.samples()).unwrap();
-        let config = RfGnnConfig::new(8)
-            .epochs(2)
-            .walks_per_node(2)
-            .neighbor_samples(vec![4, 3])
-            .seed(u64::MAX - 5); // exercise the >2^53 seed path
+        let config = RfGnnConfig {
+            epochs: 2,
+            walks_per_node: 2,
+            neighbor_samples: vec![4, 3],
+            seed: u64::MAX - 5, // exercise the >2^53 seed path
+            ..RfGnnConfig::new(8)
+        };
         (graph.clone(), RfGnn::train(&graph, &config).unwrap())
     }
 

@@ -229,18 +229,20 @@ mod tests {
         (0..graph.n_samples()).collect()
     }
 
-    fn quick_config() -> RfGnnConfig {
-        RfGnnConfig::new(8)
-            .epochs(4)
-            .walks_per_node(2)
-            .neighbor_samples(vec![5, 3])
-            .seed(7)
+    fn small_config() -> RfGnnConfig {
+        RfGnnConfig {
+            epochs: 4,
+            walks_per_node: 2,
+            neighbor_samples: vec![5, 3],
+            seed: 7,
+            ..RfGnnConfig::new(8)
+        }
     }
 
     #[test]
     fn loss_decreases() {
         let (graph, _) = tiny_graph(2, 1);
-        let (_, report) = RfGnn::train_with_report(&graph, &quick_config()).unwrap();
+        let (_, report) = RfGnn::train_with_report(&graph, &small_config()).unwrap();
         assert!(report.improved(), "losses: {:?}", report.epoch_losses);
         assert!(report.pairs > 0);
     }
@@ -248,7 +250,7 @@ mod tests {
     #[test]
     fn small_graphs_train_at_the_configured_batch_size() {
         let (graph, _) = tiny_graph(2, 1);
-        let config = quick_config();
+        let config = small_config();
         let (_, report) = RfGnn::train_with_report(&graph, &config).unwrap();
         assert!(report.pairs < STEPS_PER_EPOCH * config.batch_pairs);
         assert_eq!(report.batch_pairs, config.batch_pairs);
@@ -261,7 +263,7 @@ mod tests {
     #[test]
     fn large_graphs_take_at_most_the_step_budget_per_epoch() {
         let (graph, _) = tiny_graph(2, 1);
-        let mut config = quick_config();
+        let mut config = small_config();
         config.batch_pairs = 4;
         let (_, report) = RfGnn::train_with_report(&graph, &config).unwrap();
         assert!(report.pairs > STEPS_PER_EPOCH * config.batch_pairs);
@@ -290,15 +292,15 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let (graph, _) = tiny_graph(2, 2);
-        let a = RfGnn::train_with_report(&graph, &quick_config()).unwrap().1;
-        let b = RfGnn::train_with_report(&graph, &quick_config()).unwrap().1;
+        let a = RfGnn::train_with_report(&graph, &small_config()).unwrap().1;
+        let b = RfGnn::train_with_report(&graph, &small_config()).unwrap().1;
         assert_eq!(a, b);
     }
 
     #[test]
     fn embeddings_have_unit_rows() {
         let (graph, _) = tiny_graph(2, 3);
-        let model = RfGnn::train(&graph, &quick_config()).unwrap();
+        let model = RfGnn::train(&graph, &small_config()).unwrap();
         let emb = model.infer_nodes(&graph, &sample_nodes(&graph));
         assert_eq!(emb.shape(), (graph.n_samples(), 8));
         for norm in emb.row_norms() {
@@ -310,7 +312,14 @@ mod tests {
     #[test]
     fn same_floor_pairs_closer_than_cross_floor() {
         let (graph, truth) = tiny_graph(3, 4);
-        let model = RfGnn::train(&graph, &quick_config().epochs(6)).unwrap();
+        let model = RfGnn::train(
+            &graph,
+            &RfGnnConfig {
+                epochs: 6,
+                ..small_config()
+            },
+        )
+        .unwrap();
         let emb = model.infer_nodes(&graph, &sample_nodes(&graph));
         let mut same = Vec::new();
         let mut diff = Vec::new();
@@ -336,7 +345,7 @@ mod tests {
     #[test]
     fn no_attention_variant_trains() {
         let (graph, _) = tiny_graph(2, 5);
-        let config = quick_config().without_attention();
+        let config = small_config().without_attention();
         let (model, report) = RfGnn::train_with_report(&graph, &config).unwrap();
         assert!(!model.config().attention);
         assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
@@ -345,7 +354,7 @@ mod tests {
     #[test]
     fn invalid_config_rejected() {
         let (graph, _) = tiny_graph(2, 6);
-        let mut config = quick_config();
+        let mut config = small_config();
         config.hops = 5;
         assert!(RfGnn::train(&graph, &config).is_err());
     }
@@ -355,13 +364,13 @@ mod tests {
         use fis_types::SignalSample;
         let samples = vec![SignalSample::builder(0).build()];
         let graph = BipartiteGraph::from_samples(&samples).unwrap();
-        assert!(RfGnn::train(&graph, &quick_config()).is_err());
+        assert!(RfGnn::train(&graph, &small_config()).is_err());
     }
 
     #[test]
     fn infer_nodes_covers_macs_too() {
         let (graph, _) = tiny_graph(2, 8);
-        let model = RfGnn::train(&graph, &quick_config()).unwrap();
+        let model = RfGnn::train(&graph, &small_config()).unwrap();
         let mac_nodes: Vec<usize> = (0..graph.n_macs()).map(|j| graph.mac_node(j)).collect();
         let emb = model.infer_nodes(&graph, &mac_nodes);
         assert_eq!(emb.rows(), graph.n_macs());

@@ -517,14 +517,14 @@ mod tests {
     use fis_synth::BuildingConfig;
     use fis_types::{FloorId, SignalSample};
 
-    fn quick_model(name: &str, samples: usize, seed: u64) -> FittedModel {
+    fn fit_model(name: &str, samples: usize, seed: u64) -> FittedModel {
         let b = BuildingConfig::new(name, 3)
             .samples_per_floor(samples)
             .aps_per_floor(8)
             .atrium_aps(0)
             .seed(seed)
             .generate();
-        FisOne::new(FisOneConfig::quick(seed))
+        FisOne::new(FisOneConfig::default().seed(seed))
             .fit(
                 b.name(),
                 b.samples(),
@@ -551,7 +551,7 @@ mod tests {
     #[test]
     fn lazy_load_then_hit() {
         let dir = temp_dir("lazy");
-        let model = quick_model("alpha", 15, 1);
+        let model = fit_model("alpha", 15, 1);
         model.save(dir.join("alpha.json")).unwrap();
         let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let (m1, f1) = reg.get("alpha").unwrap();
@@ -591,7 +591,7 @@ mod tests {
     #[test]
     fn mismatched_artifact_name_is_model_error() {
         let dir = temp_dir("mismatch");
-        quick_model("real-name", 15, 2)
+        fit_model("real-name", 15, 2)
             .save(dir.join("wrong-name.json"))
             .unwrap();
         let reg = ModelRegistry::new(RegistryConfig::new(&dir));
@@ -615,7 +615,7 @@ mod tests {
     fn deleted_artifact_serves_until_swap_then_is_unknown() {
         let dir = temp_dir("deleted");
         let path = dir.join("gone.json");
-        quick_model("gone", 15, 3).save(&path).unwrap();
+        fit_model("gone", 15, 3).save(&path).unwrap();
         let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let (model, _) = reg.get("gone").unwrap();
         std::fs::remove_file(&path).unwrap();
@@ -635,7 +635,7 @@ mod tests {
     fn lru_eviction_under_model_budget() {
         let dir = temp_dir("lru");
         for (name, seed) in [("a", 4), ("b", 5), ("c", 6)] {
-            quick_model(name, 15, seed)
+            fit_model(name, 15, seed)
                 .save(dir.join(format!("{name}.json")))
                 .unwrap();
         }
@@ -656,7 +656,7 @@ mod tests {
     #[test]
     fn byte_budget_never_evicts_the_active_model() {
         let dir = temp_dir("bytes");
-        quick_model("solo", 15, 7)
+        fit_model("solo", 15, 7)
             .save(dir.join("solo.json"))
             .unwrap();
         // 1-byte budget: the lone active model still serves.
@@ -671,10 +671,10 @@ mod tests {
     fn rewritten_artifact_serves_only_after_swap() {
         let dir = temp_dir("reload");
         let path = dir.join("hot.json");
-        quick_model("hot", 15, 8).save(&path).unwrap();
+        fit_model("hot", 15, 8).save(&path).unwrap();
         let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let (old, _) = reg.get("hot").unwrap();
-        quick_model("hot", 20, 9).save(&path).unwrap();
+        fit_model("hot", 20, 9).save(&path).unwrap();
         let (still, fetch) = reg.get("hot").unwrap();
         assert_eq!(fetch, Fetch::Hit, "a rewrite alone must not reload");
         assert!(Arc::ptr_eq(&old, &still));
@@ -696,7 +696,7 @@ mod tests {
     fn failed_swap_drops_the_replaced_generation() {
         let dir = temp_dir("bad_swap");
         let path = dir.join("flip.json");
-        quick_model("flip", 15, 11).save(&path).unwrap();
+        fit_model("flip", 15, 11).save(&path).unwrap();
         let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         reg.get("flip").unwrap();
         std::fs::write(&path, "{\"schema\": \"nope\"").unwrap();
@@ -709,7 +709,7 @@ mod tests {
     #[test]
     fn evict_then_reload_is_bit_identical() {
         let dir = temp_dir("roundtrip");
-        quick_model("rt", 15, 10).save(dir.join("rt.json")).unwrap();
+        fit_model("rt", 15, 10).save(dir.join("rt.json")).unwrap();
         let reg = ModelRegistry::new(RegistryConfig::new(&dir));
         let (first, _) = reg.get("rt").unwrap();
         let scan = first.samples()[0].clone();
@@ -741,9 +741,9 @@ mod tests {
         use std::io::Write;
         use std::sync::mpsc;
         let dir = temp_dir("inflight");
-        quick_model("y", 15, 40).save(dir.join("y.json")).unwrap();
+        fit_model("y", 15, 40).save(dir.join("y.json")).unwrap();
         let staged = dir.join("x.staged");
-        quick_model("x", 15, 41).save(&staged).unwrap();
+        fit_model("x", 15, 41).save(&staged).unwrap();
         let artifact = std::fs::read(&staged).unwrap();
         let fifo = dir.join("x.json");
         mkfifo(&fifo);
@@ -812,7 +812,7 @@ mod tests {
         assert_eq!(reg.stats().load_failures, 2);
         assert!(reg.lock().slots.is_empty(), "a failed load kept its slot");
         // The slot is not wedged: the fixed artifact loads.
-        quick_model("bad", 15, 42).save(&path).unwrap();
+        fit_model("bad", 15, 42).save(&path).unwrap();
         let (model, fetch) = reg.get("bad").unwrap();
         assert_eq!(fetch, Fetch::Miss);
         assert_eq!(model.building(), "bad");
@@ -825,9 +825,9 @@ mod tests {
         use std::io::Write;
         let dir = temp_dir("swap_race");
         let staged = dir.join("x.staged");
-        quick_model("x", 15, 43).save(&staged).unwrap();
+        fit_model("x", 15, 43).save(&staged).unwrap();
         let old_bytes = std::fs::read(&staged).unwrap();
-        quick_model("x", 20, 44).save(&staged).unwrap();
+        fit_model("x", 20, 44).save(&staged).unwrap();
         let fifo = dir.join("x.json");
         mkfifo(&fifo);
         let reg = &ModelRegistry::new(RegistryConfig::new(&dir));

@@ -505,14 +505,14 @@ mod tests {
     use fis_types::json::ToJson;
     use std::path::PathBuf;
 
-    fn quick_fit(name: &str, seed: u64) -> (fis_types::Building, FittedModel) {
+    fn fit_building(name: &str, seed: u64) -> (fis_types::Building, FittedModel) {
         let b = BuildingConfig::new(name, 3)
             .samples_per_floor(15)
             .aps_per_floor(8)
             .atrium_aps(0)
             .seed(seed)
             .generate();
-        let model = FisOne::new(FisOneConfig::quick(seed))
+        let model = FisOne::new(FisOneConfig::default().seed(seed))
             .fit(
                 b.name(),
                 b.samples(),
@@ -531,7 +531,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut buildings = Vec::new();
         for &(name, seed) in models {
-            let (b, model) = quick_fit(name, seed);
+            let (b, model) = fit_building(name, seed);
             model.save(dir.join(format!("{name}.json"))).unwrap();
             buildings.push(b);
         }

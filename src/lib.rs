@@ -18,7 +18,7 @@
 //! # Example
 //!
 //! ```
-//! use fis_one::{BuildingConfig, FisOne, FisOneConfig, RfGnnConfig};
+//! use fis_one::{BuildingConfig, FisOne, FisOneConfig};
 //!
 //! // Synthesize a small 3-floor building (stand-in for crowdsourced data).
 //! let building = BuildingConfig::new("demo", 3)
@@ -28,10 +28,7 @@
 //! let anchor = building.bottom_anchor().expect("bottom floor was surveyed");
 //!
 //! // One labeled sample in, floor labels for every sample out.
-//! // (Tiny training config keeps the doctest fast.)
-//! let mut config = FisOneConfig::default();
-//! config.gnn = RfGnnConfig::new(8).epochs(2).walks_per_node(2);
-//! let prediction = FisOne::new(config)
+//! let prediction = FisOne::new(FisOneConfig::default().seed(7))
 //!     .identify(building.samples(), building.floors(), anchor)?;
 //! assert_eq!(prediction.labels().len(), building.len());
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -2,17 +2,7 @@
 //! seed, predictions are bit-identical regardless of the thread budget.
 
 use fis_one::core::{EngineConfig, FisEngine};
-use fis_one::{BuildingConfig, Dataset, FisOneConfig, RfGnnConfig};
-
-fn quick_config(seed: u64) -> FisOneConfig {
-    let mut config = FisOneConfig::default().seed(seed);
-    config.gnn = RfGnnConfig::new(8)
-        .epochs(4)
-        .walks_per_node(2)
-        .neighbor_samples(vec![6, 3])
-        .seed(seed);
-    config
-}
+use fis_one::{BuildingConfig, Dataset, FisOneConfig};
 
 fn corpus() -> Dataset {
     let buildings = (0..4)
@@ -35,13 +25,13 @@ fn one_thread_and_many_threads_agree_for_every_seed() {
     for seed in [0u64, 1, 7, 42, 2023] {
         let serial = FisEngine::new(
             EngineConfig::default()
-                .pipeline(quick_config(seed))
+                .pipeline(FisOneConfig::default().seed(seed))
                 .threads(1),
         )
         .identify_corpus(&corpus);
         let parallel = FisEngine::new(
             EngineConfig::default()
-                .pipeline(quick_config(seed))
+                .pipeline(FisOneConfig::default().seed(seed))
                 .threads(8),
         )
         .identify_corpus(&corpus);
@@ -69,7 +59,7 @@ fn one_thread_and_many_threads_agree_for_every_seed() {
 #[test]
 fn batch_scores_equal_single_building_scores() {
     let corpus = corpus();
-    let config = quick_config(3);
+    let config = FisOneConfig::default().seed(3);
     let report = FisEngine::new(EngineConfig::default().pipeline(config.clone()).threads(4))
         .evaluate_corpus(&corpus);
     for (run, outcome) in report.successes() {
@@ -90,7 +80,7 @@ fn batch_scores_equal_single_building_scores() {
 fn seed_controls_the_outcome() {
     let corpus = corpus();
     let run = |seed: u64| {
-        FisEngine::new(EngineConfig::default().pipeline(quick_config(seed)))
+        FisEngine::new(EngineConfig::default().pipeline(FisOneConfig::default().seed(seed)))
             .identify_corpus(&corpus)
     };
     let a = run(11);

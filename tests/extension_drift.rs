@@ -38,7 +38,7 @@ fn churned() -> (FittedModel, Vec<Vec<SignalSample>>) {
     .generate();
     let b = &corpus.building;
     let anchor = b.bottom_anchor().expect("survey anchor");
-    let model = FisOne::new(FisOneConfig::quick(SEED))
+    let model = FisOne::new(FisOneConfig::default().seed(SEED))
         .fit(b.name(), b.samples(), b.floors(), anchor)
         .expect("survey fits");
     let epochs = corpus.epochs.iter().map(|e| e.samples.clone()).collect();

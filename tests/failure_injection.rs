@@ -5,18 +5,11 @@ use std::sync::OnceLock;
 
 use fis_one::types::json::Json;
 use fis_one::{
-    BuildingConfig, FisError, FisOne, FisOneConfig, FittedModel, FloorId, LabeledAnchor, MacAddr,
-    RfGnnConfig, Rssi, SignalSample,
+    BuildingConfig, FisError, FisOne, FittedModel, FloorId, LabeledAnchor, MacAddr, Rssi,
+    SignalSample,
 };
 
-fn quick() -> FisOne {
-    FisOne::new(FisOneConfig {
-        gnn: RfGnnConfig::new(8).epochs(2).walks_per_node(2),
-        ..FisOneConfig::default()
-    })
-}
-
-/// One quick fitted model shared by the load/assign failure tests.
+/// One fitted model shared by the load/assign failure tests.
 fn fitted() -> &'static FittedModel {
     static MODEL: OnceLock<FittedModel> = OnceLock::new();
     MODEL.get_or_init(|| {
@@ -26,7 +19,7 @@ fn fitted() -> &'static FittedModel {
             .atrium_aps(0)
             .seed(31)
             .generate();
-        quick()
+        FisOne::default()
             .fit(
                 b.name(),
                 b.samples(),
@@ -58,14 +51,16 @@ fn anchor0() -> LabeledAnchor {
 
 #[test]
 fn empty_sample_set_is_graph_error() {
-    let err = quick().identify(&[], 2, anchor0()).unwrap_err();
+    let err = FisOne::default().identify(&[], 2, anchor0()).unwrap_err();
     assert!(matches!(err, FisError::Clustering(_) | FisError::Graph(_)));
 }
 
 #[test]
 fn all_empty_scans_fail_cleanly() {
     let samples: Vec<SignalSample> = (0..10).map(|i| SignalSample::builder(i).build()).collect();
-    let err = quick().identify(&samples, 2, anchor0()).unwrap_err();
+    let err = FisOne::default()
+        .identify(&samples, 2, anchor0())
+        .unwrap_err();
     assert!(matches!(err, FisError::Training(_)), "{err}");
 }
 
@@ -80,7 +75,7 @@ fn single_shared_mac_everywhere_does_not_panic() {
         })
         .collect();
     // Must return *something* without panicking; quality is undefined.
-    let _ = quick().identify(&samples, 2, anchor0());
+    let _ = FisOne::default().identify(&samples, 2, anchor0());
 }
 
 #[test]
@@ -92,7 +87,7 @@ fn all_identical_rss_does_not_panic() {
                 .build()
         })
         .collect();
-    let _ = quick().identify(&samples, 3, anchor0());
+    let _ = FisOne::default().identify(&samples, 3, anchor0());
 }
 
 #[test]
@@ -108,7 +103,7 @@ fn disconnected_components_do_not_panic() {
                 .build(),
         );
     }
-    let result = quick().identify(&samples, 2, anchor0());
+    let result = FisOne::default().identify(&samples, 2, anchor0());
     if let Ok(pred) = result {
         assert_eq!(pred.labels().len(), 8);
     }
@@ -123,7 +118,9 @@ fn more_floors_than_samples_rejected() {
                 .build()
         })
         .collect();
-    let err = quick().identify(&samples, 10, anchor0()).unwrap_err();
+    let err = FisOne::default()
+        .identify(&samples, 10, anchor0())
+        .unwrap_err();
     assert!(matches!(err, FisError::Clustering(_)));
 }
 

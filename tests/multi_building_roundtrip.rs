@@ -14,8 +14,8 @@ use fis_one::core::{EngineConfig, FisEngine};
 use fis_one::types::io;
 use fis_one::{FisOneConfig, ModelRegistry, RegistryConfig};
 
-fn quick_engine(seed: u64) -> FisEngine {
-    FisEngine::new(EngineConfig::default().pipeline(FisOneConfig::quick(seed)))
+fn engine(seed: u64) -> FisEngine {
+    FisEngine::new(EngineConfig::default().pipeline(FisOneConfig::default().seed(seed)))
 }
 
 #[test]
@@ -92,7 +92,7 @@ fn n_building_corpus_roundtrips_through_fit_corpus_and_registry() {
     let corpus = io::load_jsonl(&corpus_path).unwrap();
 
     // fit_corpus → one artifact per building, named by building id.
-    let fit = quick_engine(21).fit_corpus(&corpus);
+    let fit = engine(21).fit_corpus(&corpus);
     assert_eq!(fit.successes().count(), 3, "every building fits");
     for (run, model) in fit.successes() {
         assert_eq!(model.building(), run.building);

@@ -84,7 +84,7 @@ fn find<'a>(events: &'a [Json], component: &str, name: &str) -> Vec<&'a Json> {
 }
 
 fn fit_model(building: &Building) -> fis_one::FittedModel {
-    FisOne::new(FisOneConfig::quick(SEED))
+    FisOne::new(FisOneConfig::default().seed(SEED))
         .fit(
             building.name(),
             building.samples(),

@@ -17,8 +17,7 @@
 use std::sync::OnceLock;
 
 use fis_one::{
-    BuildingConfig, FisError, FisOne, FisOneConfig, FittedModel, MacAddr, RfGnnConfig, Rssi,
-    SignalSample,
+    BuildingConfig, FisError, FisOne, FisOneConfig, FittedModel, MacAddr, Rssi, SignalSample,
 };
 use proptest::prelude::*;
 
@@ -36,13 +35,7 @@ fn shared() -> &'static Shared {
             .atrium_aps(0)
             .seed(77)
             .generate();
-        let mut config = FisOneConfig::default().seed(5);
-        config.gnn = RfGnnConfig::new(8)
-            .epochs(3)
-            .walks_per_node(2)
-            .neighbor_samples(vec![5, 3])
-            .seed(5);
-        let model = FisOne::new(config)
+        let model = FisOne::new(FisOneConfig::default().seed(5))
             .fit(
                 building.name(),
                 building.samples(),

@@ -16,14 +16,14 @@ use fis_one::{
     Building, BuildingConfig, Daemon, DaemonConfig, FisOne, FisOneConfig, RegistryConfig,
 };
 
-fn quick_fit(name: &str, seed: u64) -> (Building, fis_one::FittedModel) {
+fn fit_building(name: &str, seed: u64) -> (Building, fis_one::FittedModel) {
     let b = BuildingConfig::new(name, 3)
         .samples_per_floor(15)
         .aps_per_floor(8)
         .atrium_aps(0)
         .seed(seed)
         .generate();
-    let model = FisOne::new(FisOneConfig::quick(seed))
+    let model = FisOne::new(FisOneConfig::default().seed(seed))
         .fit(
             b.name(),
             b.samples(),
@@ -39,7 +39,7 @@ fn model_dir(tag: &str, models: &[(&str, u64)]) -> (PathBuf, Vec<Building>) {
     std::fs::create_dir_all(&dir).unwrap();
     let mut buildings = Vec::new();
     for &(name, seed) in models {
-        let (b, model) = quick_fit(name, seed);
+        let (b, model) = fit_building(name, seed);
         model.save(dir.join(format!("{name}.json"))).unwrap();
         buildings.push(b);
     }
